@@ -10,7 +10,6 @@ sticky until the flow goes idle.
 
 from __future__ import annotations
 
-from ..packet import Packet
 from .flow_table import FlowState, FlowTable
 
 __all__ = ["FlowClassifier"]
@@ -30,42 +29,25 @@ class FlowClassifier:
         self.window = window
         self.promotions = 0
 
-    def observe(self, packet: Packet, now: float = 0.0, size: "int | None" = None) -> FlowState:
-        """Account *packet* and return its (possibly promoted) flow state.
-
-        *size* is the packet's ``total_len`` when the caller already
-        computed it for its own accounting.
-        """
-        key = packet.flow_key()
-        if key is None:
-            raise ValueError("cannot classify a packet without a flow key")
-        state = self.table.lookup(key, now)
-        if now - state.window_start > self.window:
-            state.reset_window(now)
-        state.touch(packet.total_len if size is None else size, now)
-        if not state.is_elephant and state.window_packets >= self.threshold_packets:
-            state.is_elephant = True
-            self.promotions += 1
-        return state
-
     def observe_group(self, key, now: float = 0.0) -> "FlowState":
-        """Flow-table prologue for a batch of same-flow packets.
+        """Flow-table prologue for a run of same-flow packets.
 
-        One table lookup (and one window check — every packet in a poll
-        batch shares the same ``now``) covers the whole group; the
-        caller accounts each packet with :meth:`FlowState.touch` and
-        :meth:`promote_if_due` so per-packet classification decisions —
-        including a mid-batch elephant promotion — match the scalar
-        path exactly.  ``table.lookups`` counts one lookup per group,
-        which is precisely the work the batched prologue performs.
+        One table lookup and one window check cover the whole run:
+        every packet in a poll batch shares the same ``now``.  The
+        caller then hands each packet of the run to
+        :meth:`observe_packet`, so a mid-batch elephant promotion lands
+        on the same packet as it would one packet at a time.
+        ``table.lookups`` counts one lookup per run, which is the work
+        the worker performs.
         """
         state = self.table.lookup(key, now)
         if now - state.window_start > self.window:
             state.reset_window(now)
         return state
 
-    def promote_if_due(self, state: "FlowState") -> None:
-        """Apply the elephant-promotion rule after a ``touch``."""
+    def observe_packet(self, state: FlowState, size: int, now: float = 0.0) -> None:
+        """Account one packet of *state*'s flow; promote it when due."""
+        state.touch(size, now)
         if not state.is_elephant and state.window_packets >= self.threshold_packets:
             state.is_elephant = True
             self.promotions += 1

@@ -62,9 +62,9 @@ class GatewayDatapath:
         Packets are bucketed per ``(worker, bound)`` in arrival order,
         then each bucket goes through
         :meth:`~repro.core.worker.GatewayWorker.process_batch` — the
-        amortized prologue runs once per bucket instead of once per
-        packet.  Egress order is bucket-grouped (buckets in first-seen
-        order), matching the batch path's flow-grouped contract.
+        batch prologue runs once per bucket instead of once per packet.
+        Egress is bucket-grouped (buckets in first-seen order), in
+        arrival order within each bucket.
         """
         shares: Dict[Tuple[int, str], List[Packet]] = {}
         worker_for = self.worker_for
@@ -98,9 +98,10 @@ class GatewayDatapath:
         one partial segment per flow that a continuous run would not.
 
         ``batched`` routes each poll batch through
-        :meth:`process_batch` (vectorized worker dispatch) instead of
-        packet-at-a-time :meth:`process`; per-flow semantics are
-        identical, egress order is flow-grouped within each batch.
+        :meth:`process_batch` instead of packet-at-a-time
+        :meth:`process`.  Each worker sees the same packet sequence
+        either way; only the dispatch granularity differs, and egress
+        is bucket-grouped within each batch.
         """
         outputs: List[Packet] = []
         now = self._virtual_now

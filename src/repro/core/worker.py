@@ -1,7 +1,9 @@
-"""One PXGW worker core: the full per-packet pipeline with cycle pricing.
+"""One PXGW worker core: the packet pipeline with cycle pricing.
 
 A worker owns the flow state for the flows RSS assigns to it, so the
-pipeline is lock-free.  Every packet is processed by real engine code
+pipeline is lock-free.  The pipeline is written once, as a poll-batch
+loop (:meth:`GatewayWorker.process_batch`); a single packet is a batch
+of one.  Every packet is processed by real engine code
 (merge/split/caravan/clamp); cycle and memory charges follow
 :class:`repro.cpu.GatewayCosts` and the active DMA model, which is how
 Figure 5's throughput numbers are produced.
@@ -9,7 +11,7 @@ Figure 5's throughput numbers are produced.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from ..cpu import DEFAULT_GATEWAY_COSTS, CycleAccount, GatewayCosts
 from ..nic.dma import FULL_DMA, HEADER_ONLY_DMA
@@ -107,15 +109,15 @@ class GatewayWorker:
         #: Optional callable ``(peer_ip, now) -> bool`` consulted before
         #: bundling datagrams toward a peer (caravan negotiation).
         self.caravan_gate = None
-        #: Optional :class:`repro.obs.FlowTracer`.  Every call site
-        #: guards on it, so the default (None) costs one attribute test
-        #: on the per-packet path and nothing on a per-batch path.
+        #: Optional :class:`repro.obs.FlowTracer`.  The pipeline reads
+        #: it once per batch and every hook guards on it, so the default
+        #: (None) costs one local test per hook.
         self.tracer = None
         # Sim time of the event being processed, for trace records made
         # on paths (``_emit``) that are not handed ``now``.
         self._trace_now = 0.0
         #: Optional :class:`repro.obs.SpanTracker`; same guard contract
-        #: as the tracer — ``None`` costs one attribute test per packet.
+        #: as the tracer.
         self.spans = None
         # Gateway ingress time of the packet being processed.  Differs
         # from ``now`` for packets that queued during a stall; spans
@@ -170,251 +172,153 @@ class GatewayWorker:
         now: float = 0.0,
         ingress_at: float = None,
     ) -> List[Packet]:
-        """Run one packet through the pipeline; returns egress packets.
+        """Run one packet through the pipeline: a batch of one."""
+        return self.process_batch((packet,), bound, now, ingress_at)
 
-        ``ingress_at`` is when the packet reached the gateway (defaults
-        to ``now``); it differs for packets re-processed after a stall,
-        so span residency covers the queueing too.
-        """
-        account = self.account
-        breakdown = account.breakdown
-        ip = packet.ip
-        proto = ip.protocol
-        size = packet.total_len
-        self.stats.rx_packets += 1
-        account.packets += 1
-        account.goodput_bytes += size
-
-        tracer = self.tracer
-        if tracer is not None:
-            self._trace_now = now
-            flow = packet.flow_key()
-            tracer.record(
-                now, "ingress",
-                worker=self.index, bound=bound, proto=int(proto),
-                bytes=size, flow=str(flow) if flow is not None else "-",
-            )
-
-        if self.spans is not None:
-            self._span_at = now if ingress_at is None else ingress_at
-
-        if self.mode == WorkerMode.BYPASS:
-            return self._bypass(packet, bound, now)
-
-        key = packet.flow_key()
-        state = None
-        if key is not None:
-            # Cycle charges on this per-packet path are applied inline
-            # (equivalent to ``account.charge``): the call overhead was
-            # a measurable slice of the datapath.
-            cycles = self._cost_classifier
-            account.cycles += cycles
-            breakdown["classify"] = breakdown.get("classify", 0.0) + cycles
-            state = self.classifier.observe(packet, now, size=size)
-            if tracer is not None:
-                tracer.record(
-                    now, "classify",
-                    worker=self.index, flow=str(key),
-                    elephant=state.is_elephant,
-                )
-
-        is_tcp = proto == IPProto.TCP
-        # Handshake packets always take the slow path: MSS intervention.
-        if is_tcp and packet.l4.flags & TCPFlags.SYN:
-            cycles = self._cost_slowpath
-            account.cycles += cycles
-            breakdown["slowpath"] = breakdown.get("slowpath", 0.0) + cycles
-            if self._mss_clamp_on and self.mss_clamp.process(
-                packet, bound, allow_raise=self.mode == WorkerMode.NORMAL
-            ):
-                self.stats.mss_rewrites += 1
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "mss")
-            return self._emit([packet], bound, data=False)
-
-        # Mice bypass the merge machinery via the NIC hairpin — but only
-        # when the packet already conforms to the egress MTU (a jumbo
-        # heading outside must still go through the split engine).
-        if (
-            self._hairpin_small
-            and state is not None
-            and not state.is_elephant
-            and not (proto == IPProto.UDP and ip.tos == PX_CARAVAN_TOS)
-            and (bound == Bound.INBOUND or size <= self._emtu)
-        ):
-            cycles = self._cost_hairpin
-            account.cycles += cycles
-            breakdown["hairpin"] = breakdown.get("hairpin", 0.0) + cycles
-            self.stats.hairpinned += 1
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "hairpin", flow=key)
-            return self._emit([packet], bound, data=self._is_data(packet))
-
-        cycles = self._cost_rx
-        account.cycles += cycles
-        breakdown["rx"] = breakdown.get("rx", 0.0) + cycles
-        dma = self.dma
-        if self._header_only:
-            resident = self.merge.pending_bytes() + self.caravan_merge.pending_bytes()
-            if resident + size > self.nic_memory_bytes:
-                # On-NIC memory exhausted: this packet's payload must
-                # cross into host DRAM after all (§5.1's "limited NIC
-                # store" caveat).
-                dma = FULL_DMA
-                self.stats.hdo_fallbacks += 1
-            else:
-                cycles = self.costs.header_only_per_packet
-                account.cycles += cycles
-                breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
-        account.mem_bytes += dma.mem_bytes(packet, size=size)
-
-        if is_tcp:
-            if bound == Bound.INBOUND:
-                return self._tcp_inbound(packet, now)
-            return self._tcp_outbound(packet, now)
-        if proto == IPProto.UDP:
-            if bound == Bound.INBOUND:
-                return self._udp_inbound(packet, now)
-            return self._udp_outbound(packet, now)
-
-        # ICMP and anything else is forwarded untouched.
-        if self.spans is not None:
-            self.spans.sync(self._span_at, now, "forward", flow=key)
-        return self._emit([packet], bound, data=False)
-
-    # ------------------------------------------------------------------
     def process_batch(
         self,
-        packets: List[Packet],
+        packets: Sequence[Packet],
         bound: str,
         now: float = 0.0,
+        ingress_at: float = None,
     ) -> List[Packet]:
         """Run a poll batch through the pipeline; returns egress packets.
 
-        Per-packet semantics match :meth:`process`, but the constant-
-        per-packet prologue — mode/observability checks and the flow
-        table lookup — runs once per batch (or once per flow group)
-        instead of once per packet.  Packets are grouped by
-        ``flow_key()`` in first-seen order with intra-flow arrival
-        order preserved, so the merge engines see each flow's packets
-        exactly as the scalar path would; egress packets come out
-        flow-grouped rather than arrival-interleaved.
+        Packets are processed in arrival order, and egress comes out in
+        that order too.  ``ingress_at`` is when the batch reached the
+        gateway (defaults to ``now``); it differs for packets
+        re-processed after a stall, so span residency covers the
+        queueing too.
 
-        When a tracer or span tracker is attached, or the worker is not
-        in NORMAL mode, the batch defers to the scalar pipeline packet
-        by packet — those paths must observe every per-packet firing
-        point.
+        The mode and the tracer and span hooks are read once per batch
+        and handled inline, so attaching an observer or switching mode
+        never selects a different loop.  A run of consecutive same-flow
+        packets shares one flow-table lookup and window check (every
+        packet in a batch shares ``now``); each packet still gets its
+        own ``touch`` and promotion check, so a mid-batch elephant
+        promotion lands on the same packet as it would one packet at a
+        time.
         """
-        if (
-            self.tracer is not None
-            or self.spans is not None
-            or self.mode != WorkerMode.NORMAL
-        ):
-            out: List[Packet] = []
-            process = self.process
-            for packet in packets:
-                out.extend(process(packet, bound, now))
-            return out
-
-        groups: dict = {}
-        for packet in packets:
-            key = packet.flow_key()
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [packet]
-            else:
-                group.append(packet)
-
         account = self.account
         breakdown = account.breakdown
         stats = self.stats
-        classifier = self.classifier
-        cost_classifier = self._cost_classifier
-        cost_slowpath = self._cost_slowpath
-        cost_hairpin = self._cost_hairpin
-        cost_rx = self._cost_rx
-        hairpin_small = self._hairpin_small
-        header_only = self._header_only
-        emtu = self._emtu
-        worker_dma = self.dma
+        mode = self.mode
+        bypass = mode == WorkerMode.BYPASS
+        tracer = self.tracer
+        spans = self.spans
+        if tracer is not None:
+            self._trace_now = now
+        if spans is not None:
+            self._span_at = span_at = now if ingress_at is None else ingress_at
         inbound = bound == Bound.INBOUND
-        out = []
-        extend = out.extend
-        for key, group in groups.items():
-            # One flow-table prologue per group: the lookup and window
-            # check cover every packet; per-packet touches and the
-            # promotion rule keep mid-batch elephant transitions exact.
-            state = None if key is None else classifier.observe_group(key, now)
-            for packet in group:
-                ip = packet.ip
-                proto = ip.protocol
-                size = packet.total_len
-                stats.rx_packets += 1
-                account.packets += 1
-                account.goodput_bytes += size
+        out: List[Packet] = []
+        run_key = state = None
+        for packet in packets:
+            ip = packet.ip
+            proto = ip.protocol
+            size = packet.total_len
+            stats.rx_packets += 1
+            account.packets += 1
+            account.goodput_bytes += size
+            key = packet.flow_key()
 
-                if state is not None:
-                    account.cycles += cost_classifier
-                    breakdown["classify"] = (
-                        breakdown.get("classify", 0.0) + cost_classifier
+            if tracer is not None:
+                tracer.record(
+                    now, "ingress",
+                    worker=self.index, bound=bound, proto=int(proto),
+                    bytes=size, flow=str(key) if key is not None else "-",
+                )
+
+            if bypass:
+                out += self._bypass(packet, bound, now)
+                continue
+
+            if key is not None:
+                # Cycle charges are applied inline (equivalent to
+                # ``account.charge``): the call overhead was a
+                # measurable slice of the datapath.
+                cycles = self._cost_classifier
+                account.cycles += cycles
+                breakdown["classify"] = breakdown.get("classify", 0.0) + cycles
+                if key != run_key:
+                    run_key = key
+                    state = self.classifier.observe_group(key, now)
+                self.classifier.observe_packet(state, size, now)
+                if tracer is not None:
+                    tracer.record(
+                        now, "classify",
+                        worker=self.index, flow=str(key),
+                        elephant=state.is_elephant,
                     )
-                    state.touch(size, now)
-                    classifier.promote_if_due(state)
 
-                is_tcp = proto == IPProto.TCP
-                if is_tcp and packet.l4.flags & TCPFlags.SYN:
-                    account.cycles += cost_slowpath
-                    breakdown["slowpath"] = (
-                        breakdown.get("slowpath", 0.0) + cost_slowpath
-                    )
-                    if self._mss_clamp_on and self.mss_clamp.process(
-                        packet, bound, allow_raise=True
-                    ):
-                        stats.mss_rewrites += 1
-                    extend(self._emit([packet], bound, data=False))
-                    continue
-
-                if (
-                    hairpin_small
-                    and state is not None
-                    and not state.is_elephant
-                    and not (proto == IPProto.UDP and ip.tos == PX_CARAVAN_TOS)
-                    and (inbound or size <= emtu)
+            is_tcp = proto == IPProto.TCP
+            # Handshake packets always take the slow path: MSS intervention.
+            if is_tcp and packet.l4.flags & TCPFlags.SYN:
+                cycles = self._cost_slowpath
+                account.cycles += cycles
+                breakdown["slowpath"] = breakdown.get("slowpath", 0.0) + cycles
+                if self._mss_clamp_on and self.mss_clamp.process(
+                    packet, bound, allow_raise=mode == WorkerMode.NORMAL
                 ):
-                    account.cycles += cost_hairpin
-                    breakdown["hairpin"] = breakdown.get("hairpin", 0.0) + cost_hairpin
-                    stats.hairpinned += 1
-                    extend(self._emit([packet], bound, data=self._is_data(packet)))
-                    continue
+                    stats.mss_rewrites += 1
+                if spans is not None:
+                    spans.sync(span_at, now, "mss")
+                out += self._emit([packet], bound, data=False)
+                continue
 
-                account.cycles += cost_rx
-                breakdown["rx"] = breakdown.get("rx", 0.0) + cost_rx
-                dma = worker_dma
-                if header_only:
-                    resident = (
-                        self.merge.pending_bytes() + self.caravan_merge.pending_bytes()
-                    )
-                    if resident + size > self.nic_memory_bytes:
-                        dma = FULL_DMA
-                        stats.hdo_fallbacks += 1
-                    else:
-                        cycles = self.costs.header_only_per_packet
-                        account.cycles += cycles
-                        breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
-                account.mem_bytes += dma.mem_bytes(packet, size=size)
+            # Mice bypass the merge machinery via the NIC hairpin — but
+            # only when the packet already conforms to the egress MTU (a
+            # jumbo heading outside must still go through the split
+            # engine).
+            if (
+                self._hairpin_small
+                and key is not None
+                and not state.is_elephant
+                and not (proto == IPProto.UDP and ip.tos == PX_CARAVAN_TOS)
+                and (inbound or size <= self._emtu)
+            ):
+                cycles = self._cost_hairpin
+                account.cycles += cycles
+                breakdown["hairpin"] = breakdown.get("hairpin", 0.0) + cycles
+                stats.hairpinned += 1
+                if spans is not None:
+                    spans.sync(span_at, now, "hairpin", flow=key)
+                out += self._emit([packet], bound, data=self._is_data(packet))
+                continue
 
-                if is_tcp:
-                    if inbound:
-                        extend(self._tcp_inbound(packet, now))
-                    else:
-                        extend(self._tcp_outbound(packet, now))
-                elif proto == IPProto.UDP:
-                    if inbound:
-                        extend(self._udp_inbound(packet, now))
-                    else:
-                        extend(self._udp_outbound(packet, now))
+            cycles = self._cost_rx
+            account.cycles += cycles
+            breakdown["rx"] = breakdown.get("rx", 0.0) + cycles
+            dma = self.dma
+            if self._header_only:
+                resident = self.merge.pending_bytes() + self.caravan_merge.pending_bytes()
+                if resident + size > self.nic_memory_bytes:
+                    # On-NIC memory exhausted: this packet's payload must
+                    # cross into host DRAM after all (§5.1's "limited NIC
+                    # store" caveat).
+                    dma = FULL_DMA
+                    stats.hdo_fallbacks += 1
                 else:
-                    extend(self._emit([packet], bound, data=False))
+                    cycles = self.costs.header_only_per_packet
+                    account.cycles += cycles
+                    breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
+            account.mem_bytes += dma.mem_bytes(packet, size=size)
+
+            if is_tcp:
+                if inbound:
+                    out += self._tcp_inbound(packet, now)
+                else:
+                    out += self._tcp_outbound(packet, now)
+            elif proto == IPProto.UDP:
+                if inbound:
+                    out += self._udp_inbound(packet, now)
+                else:
+                    out += self._udp_outbound(packet, now)
+            else:
+                # ICMP and anything else is forwarded untouched.
+                if spans is not None:
+                    spans.sync(span_at, now, "forward", flow=key)
+                out += self._emit([packet], bound, data=False)
         return out
 
     # ------------------------------------------------------------------

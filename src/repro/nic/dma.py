@@ -49,22 +49,6 @@ class DmaModel:
         header_bytes = packet.ip.header_len + packet.l4_header_len
         return (packet.total_len - header_bytes) * self.nic_memory_per_payload_byte
 
-    def mem_bytes_many(self, packets: "List[Packet]") -> float:
-        """Host DRAM bytes moved for a burst of packets.
-
-        Equals ``sum(self.mem_bytes(p) for p in packets)`` but hoists
-        the factor loads out of the loop for batch-path callers.
-        """
-        header_factor = self.header_factor
-        payload_factor = self.payload_factor
-        total = 0.0
-        for packet in packets:
-            header_bytes = packet.ip.header_len + packet.l4_header_len
-            total += header_bytes * header_factor + (
-                packet.total_len - header_bytes
-            ) * payload_factor
-        return total
-
 
 #: Conventional scatter-gather DMA: every byte crosses into DRAM on RX,
 #: is read once by the datapath (headers more than once), and read

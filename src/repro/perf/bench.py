@@ -383,8 +383,8 @@ def _prepare_gateway_world_batched(quick: bool) -> Callable[[], int]:
     """The offline datapath with batch-vectorized dispatch.
 
     Each poll batch is RSS-sharded once and runs through
-    ``GatewayWorker.process_batch`` — one mode/observability/flow-table
-    prologue per flow group instead of per packet.
+    ``GatewayWorker.process_batch`` — one mode/observability prologue
+    per bucket, one flow-table lookup per run of same-flow packets.
     """
     stream = _stream_workload(quick)
 

@@ -124,11 +124,18 @@ class TestClassifier:
     def packet(self, flow=0):
         return build_udp("1.0.0.1", "2.0.0.2", 1000 + flow, 80, payload=b"x" * 100)
 
+    @staticmethod
+    def observe(classifier, packet, now):
+        """Classify one packet the way the worker does: a run of one."""
+        state = classifier.observe_group(packet.flow_key(), now)
+        classifier.observe_packet(state, packet.total_len, now)
+        return state
+
     def test_promotion_after_threshold(self):
         table = FlowTable()
         classifier = FlowClassifier(table, threshold_packets=4, window=1.0)
         verdicts = [
-            classifier.observe(self.packet(), now=0.001 * i).is_elephant
+            self.observe(classifier, self.packet(), now=0.001 * i).is_elephant
             for i in range(5)
         ]
         assert verdicts == [False, False, False, True, True]
@@ -139,17 +146,17 @@ class TestClassifier:
         classifier = FlowClassifier(table, threshold_packets=4, window=0.01)
         # One packet every 100 ms: the window resets between arrivals.
         for i in range(20):
-            state = classifier.observe(self.packet(), now=0.1 * i)
+            state = self.observe(classifier, self.packet(), now=0.1 * i)
         assert not state.is_elephant
 
     def test_promotion_is_sticky(self):
         table = FlowTable()
         classifier = FlowClassifier(table, threshold_packets=2, window=0.01)
-        classifier.observe(self.packet(), now=0.0)
-        state = classifier.observe(self.packet(), now=0.001)
+        self.observe(classifier, self.packet(), now=0.0)
+        state = self.observe(classifier, self.packet(), now=0.001)
         assert state.is_elephant
         # Quiet period, then one packet: still an elephant.
-        state = classifier.observe(self.packet(), now=5.0)
+        state = self.observe(classifier, self.packet(), now=5.0)
         assert state.is_elephant
 
 

@@ -1,21 +1,140 @@
-"""Batched dispatch equivalence: the vectorized worker path is a pure
-Python-overhead optimization.
+"""One worker pipeline: a poll batch and the same packets one at a time
+are the same computation.
 
-``GatewayWorker.process_batch`` amortizes the per-packet prologue
-(mode/tracer/span checks, flow-table lookups) over a poll burst.  The
-*modeled* outcome — every stat counter, every charged cycle, every
-emitted byte — must be indistinguishable from packet-at-a-time
-``process``; the only permitted difference is egress *interleaving*
-(flow-grouped within a batch) and which process-global IP IDs merged
-packets happen to draw.
+``GatewayWorker.process`` is ``process_batch`` over a batch of one, and
+``process_batch`` runs its packets in arrival order with the mode and
+the observer hooks read once per batch.  So in every mode, with every
+observer attached, running a burst as one batch and running it packet
+by packet must agree on every emitted byte and its order, every stat,
+every charged cycle, every trace record and the span balance.  The only
+thing allowed to differ is the process-global IP ID that merged and
+split packets draw, which is zeroed before comparing.
 """
 
 import random
 
+import pytest
+
+from repro.core.caravan import encode_caravan
 from repro.core.config import GatewayConfig
 from repro.core.dispatch import GatewayDatapath
 from repro.core.worker import Bound, GatewayWorker, WorkerMode
-from repro.workload import interleave, make_tcp_sources
+from repro.obs import FlowTracer, SpanTracker
+from repro.packet import ICMPMessage, TCPFlags, build_icmp, build_tcp, build_udp
+from repro.workload import interleave, make_tcp_sources, make_udp_sources
+
+OBSERVERS = ("none", "tracer", "spans")
+
+
+def _zeroed(packets):
+    """Wire bytes in order, with the process-global IP ID zeroed."""
+    wire = []
+    for packet in packets:
+        copy = packet.copy()
+        copy.ip.identification = 0
+        wire.append(copy.to_bytes())
+    return wire
+
+
+def _bursts():
+    """Seeded poll bursts ``(bound, packets)`` reaching every branch.
+
+    Inbound bursts mix mergeable TCP flows, caravan-eligible UDP flows,
+    handshakes and an ICMP message (no flow key) inside same-flow runs;
+    outbound bursts carry jumbo TCP to split and caravans to open.
+    """
+    rng = random.Random(0xB47C)
+    down = make_tcp_sources(6, 1448) + make_udp_sources(4, 1200)
+    up = make_tcp_sources(4, 8948, base_port=30000,
+                          client_net="10.1.0", server_net="198.51.100")
+    inbound = [packet for packet, _ in interleave(down, 6 * 64, rng, mean_run=6.0)]
+    outbound = [packet for packet, _ in interleave(up, 6 * 12, rng, mean_run=4.0)]
+    bursts = []
+    for index in range(6):
+        burst = inbound[index * 64:(index + 1) * 64]
+        burst.insert(3, build_tcp("198.51.100.77", "10.1.0.7", 41000 + index, 443,
+                                  flags=TCPFlags.SYN, mss=1460))
+        burst.insert(20, build_icmp("198.51.100.78", "10.1.0.8",
+                                    ICMPMessage.echo_request(7, index)))
+        bursts.append((Bound.INBOUND, burst))
+        burst = outbound[index * 12:(index + 1) * 12]
+        burst.insert(2, build_tcp("10.1.0.9", "198.51.100.9", 443, 42000 + index,
+                                  flags=TCPFlags.SYN | TCPFlags.ACK, mss=8960))
+        burst.append(encode_caravan([
+            build_udp("10.1.0.5", "198.51.100.5", 4433, 6000, payload=bytes(1000))
+            for _ in range(3)
+        ]))
+        bursts.append((Bound.OUTBOUND, burst))
+    return bursts
+
+
+BURSTS = _bursts()
+
+
+def _run(mode, observer, batched):
+    """Drive BURSTS through one worker; returns (worker, egress)."""
+    worker = GatewayWorker(GatewayConfig(), index=0)
+    if observer == "tracer":
+        worker.tracer = FlowTracer(capacity=1 << 16)
+    elif observer == "spans":
+        worker.spans = SpanTracker()
+    egress = worker.set_mode(mode, 0.0)
+    now = 0.0
+    for bound, burst in BURSTS:
+        packets = [packet.copy() for packet in burst]
+        if batched:
+            egress += worker.process_batch(packets, bound, now)
+        else:
+            for packet in packets:
+                egress += worker.process(packet, bound, now)
+        now += 200e-6
+        egress += worker.end_batch(now)
+    egress += worker.end_batch(now + 1.0)
+    return worker, egress
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+@pytest.mark.parametrize("mode", WorkerMode.ALL)
+def test_batch_equals_per_packet(mode, observer):
+    batch_w, batch_out = _run(mode, observer, batched=True)
+    single_w, single_out = _run(mode, observer, batched=False)
+
+    assert _zeroed(batch_out) == _zeroed(single_out)
+    assert vars(batch_w.stats) == vars(single_w.stats)
+    assert vars(batch_w.account) == vars(single_w.account)
+    assert batch_w.classifier.promotions == single_w.classifier.promotions
+    assert batch_w.stats.rx_packets == sum(len(burst) for _, burst in BURSTS)
+    assert batch_w.stats.conservation_errors() == {}
+
+    if observer == "tracer":
+        records = batch_w.tracer.events()
+        assert records == single_w.tracer.events()
+        assert batch_w.tracer.dropped == 0
+        assert {"ingress", "egress"} <= {record["kind"] for record in records}
+    if observer == "spans":
+        spans, single = batch_w.spans, single_w.spans
+        assert spans.balanced and single.balanced
+        assert spans.balance() == single.balance()
+        assert spans.anomalies == single.anomalies == 0
+        assert spans.kinds() == single.kinds()
+        assert spans.stages() == single.stages()
+
+
+def test_one_lookup_per_same_flow_run():
+    # Runs follow arrival order: a flow that comes back after another
+    # flow starts a new run, while a flowless packet touches no flow
+    # state and so does not break the run around it.
+    a, b = make_tcp_sources(2, 1448)
+    icmp = build_icmp("198.51.100.78", "10.1.0.8", ICMPMessage.echo_request(7, 1))
+    burst = ([a.next_packet() for _ in range(3)] + [icmp]
+             + [a.next_packet() for _ in range(2)]
+             + [b.next_packet() for _ in range(2)] + [a.next_packet()])
+    worker = GatewayWorker(GatewayConfig(), index=0)
+    worker.process_batch(burst, Bound.INBOUND)
+    assert worker.flows.lookups == 3
+    assert worker.flows.peek(burst[0].flow_key()).packets == 6
+    assert worker.flows.peek(burst[-2].flow_key()).packets == 2
+    assert worker.stats.rx_packets == len(burst)
 
 
 def _stream(count=2000):
@@ -27,30 +146,28 @@ def _stream(count=2000):
 
 
 def _flow_outputs(outputs):
-    """Egress grouped per flow, with process-global IP IDs normalized.
+    """Egress grouped per flow, with process-global IP IDs zeroed.
 
-    Merged/split packets draw fresh IDs from one process-wide counter;
-    the batch path visits flows in grouped order, so the *assignment*
-    of IDs across flows shifts while every byte of protocol content
-    stays equal.  Zeroing the ID before comparison pins exactly that.
+    ``GatewayDatapath.process_batch`` buckets a poll batch per
+    ``(worker, bound)``, so the batched stream interleaves flows
+    differently from the per-packet one; each flow's own egress must
+    still match byte for byte.
     """
     flows = {}
-    for packet in outputs:
-        copy = packet.copy()
-        copy.ip.identification = 0
-        flows.setdefault(packet.flow_key(), []).append(copy.to_bytes())
+    for packet, wire in zip(outputs, _zeroed(outputs)):
+        flows.setdefault(packet.flow_key(), []).append(wire)
     return flows
 
 
-def _run(batched):
+def _run_datapath(batched):
     datapath = GatewayDatapath(GatewayConfig())
     outputs = datapath.process_stream(_stream(), batched=batched)
     return datapath, outputs
 
 
 def test_batched_stream_matches_scalar_stream():
-    scalar_dp, scalar_out = _run(batched=False)
-    batched_dp, batched_out = _run(batched=True)
+    scalar_dp, scalar_out = _run_datapath(batched=False)
+    batched_dp, batched_out = _run_datapath(batched=True)
 
     scalar_stats = scalar_dp.combined_stats()
     batched_stats = batched_dp.combined_stats()
@@ -71,8 +188,8 @@ def test_batched_stream_matches_scalar_stream():
 
 
 def test_batched_per_worker_accounts_match():
-    scalar_dp, _ = _run(batched=False)
-    batched_dp, _ = _run(batched=True)
+    scalar_dp, _ = _run_datapath(batched=False)
+    batched_dp, _ = _run_datapath(batched=True)
     for scalar_w, batched_w in zip(scalar_dp.workers, batched_dp.workers):
         assert batched_w.account.cycles == scalar_w.account.cycles, (
             f"worker {scalar_w.index} cycle drift"
@@ -80,26 +197,9 @@ def test_batched_per_worker_accounts_match():
         assert batched_w.stats.rx_packets == scalar_w.stats.rx_packets
 
 
-def test_batch_falls_back_per_packet_outside_normal_mode():
-    # Degraded/bypass modes and attached tracers take the scalar path
-    # packet-by-packet; outputs must equal calling process() directly.
-    config = GatewayConfig()
-    worker_a = GatewayWorker(config, index=0)
-    worker_b = GatewayWorker(config, index=0)
-    worker_a.mode = WorkerMode.BYPASS
-    worker_b.mode = WorkerMode.BYPASS
-    stream = _stream(count=200)
-    batch_out = worker_a.process_batch([p for p, _ in stream], Bound.INBOUND)
-    scalar_out = []
-    for packet, _ in stream:
-        scalar_out.extend(worker_b.process(packet, Bound.INBOUND))
-    assert [p.to_bytes() for p in batch_out] == [p.to_bytes() for p in scalar_out]
-    assert worker_a.stats.rx_packets == worker_b.stats.rx_packets
-
-
 def test_mid_batch_elephant_promotion_matches_scalar():
     # Promotion thresholds are evaluated per packet inside the batch
-    # (not once per group), so a flow crossing the elephant threshold
+    # (not once per run), so a flow crossing the elephant threshold
     # mid-burst promotes at the same packet either way.
     scalar_w = GatewayWorker(GatewayConfig(), index=0)
     batched_w = GatewayWorker(GatewayConfig(), index=0)
