@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath
+from repro.core import Bound, GatewayConfig
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.workload import interleave, make_tcp_sources
 
 WARMUP = 20_000
@@ -21,7 +22,7 @@ MEASURE = 60_000
 
 def run(delayed: bool, seed: int = 9):
     config = GatewayConfig(delayed_merge=delayed, hairpin_small_flows=False)
-    datapath = GatewayDatapath(config)
+    datapath = GatewayFleet(config, shards=8, steering="rss")
     down = make_tcp_sources(400, 1448, tag=Bound.INBOUND)
     rng = random.Random(seed)
     datapath.process_stream(interleave(down, WARMUP, rng, 24.0), final_flush=False)

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath
+from repro.core import Bound, GatewayConfig
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.workload import interleave, make_tcp_sources
 
 WARMUP = 15_000
@@ -72,7 +73,7 @@ def run(hairpin: bool, contexts: int = 64, seed: int = 5):
     # A deliberately small context budget makes eviction pressure real.
     config = GatewayConfig(hairpin_small_flows=hairpin,
                            merge_contexts_per_worker=contexts)
-    datapath = GatewayDatapath(config)
+    datapath = GatewayFleet(config, shards=8, steering="rss")
     mix = MiceMix(seed)
     datapath.process_stream(mix.stream(WARMUP), final_flush=False)
     datapath.reset_measurement()

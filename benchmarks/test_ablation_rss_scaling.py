@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath
+from repro.core import Bound, GatewayConfig
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.workload import interleave, make_tcp_sources
 
 WARMUP = 15_000
@@ -22,8 +23,8 @@ WORKER_COUNTS = [1, 2, 4, 8, 16]
 
 def run(workers: int, seed: int = 11):
     # Header-only DMA keeps the sweep CPU-bound so core scaling shows.
-    config = GatewayConfig(workers=workers, header_only_dma=True)
-    datapath = GatewayDatapath(config)
+    config = GatewayConfig(header_only_dma=True)
+    datapath = GatewayFleet(config, shards=workers, steering="rss")
     down = make_tcp_sources(400, 1448, tag=Bound.INBOUND)
     up = make_tcp_sources(400, 8948, tag=Bound.OUTBOUND, base_port=30000,
                           client_net="10.1.0", server_net="198.51.100")

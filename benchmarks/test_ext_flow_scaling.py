@@ -15,8 +15,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath
+from repro.core import Bound, GatewayConfig
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.workload import interleave, make_tcp_sources
 
 FLOW_COUNTS = [100, 400, 1600, 3200]
@@ -25,7 +26,8 @@ MEASURE = 45_000
 
 
 def run(flows: int, seed: int = 29):
-    datapath = GatewayDatapath(GatewayConfig(hairpin_small_flows=False))
+    datapath = GatewayFleet(GatewayConfig(hairpin_small_flows=False), shards=8,
+                            steering="rss")
     sources = make_tcp_sources(flows, 1448, tag=Bound.INBOUND)
     rng = random.Random(seed)
     datapath.process_stream(interleave(sources, WARMUP, rng, 24.0),

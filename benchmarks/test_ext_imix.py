@@ -16,8 +16,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath
+from repro.core import Bound, GatewayConfig
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.workload import interleave, make_tcp_sources
 from repro.workload.imix import ImixProfile, imix_tcp_sources
 
@@ -26,7 +27,7 @@ MEASURE = 60_000
 
 
 def run(sources, seed=23):
-    datapath = GatewayDatapath(GatewayConfig())
+    datapath = GatewayFleet(GatewayConfig(), shards=8, steering="rss")
     rng = random.Random(seed)
     datapath.process_stream(interleave(sources, WARMUP, rng, 12.0),
                             final_flush=False)

@@ -8,7 +8,7 @@ Paper:
 
 Here: 800 bidirectional TCP flows (downlink eMTU segments to merge,
 uplink jumbo segments to split, 6:1 packet ratio) stream through the
-8-worker :class:`GatewayDatapath`; a warm-up phase fills flow tables
+8-shard RSS-steered :class:`GatewayFleet`; a warm-up phase fills flow tables
 and merge contexts before the measured window, and throughput comes
 from cycle/memory accounting on the testbed CPU spec.
 """
@@ -17,8 +17,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath
+from repro.core import Bound, GatewayConfig
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.workload import interleave, make_tcp_sources
 
 WARMUP = 40_000
@@ -33,7 +34,7 @@ PAPER = {
 
 
 def run_configuration(config: GatewayConfig, seed: int = 1):
-    datapath = GatewayDatapath(config)
+    datapath = GatewayFleet(config, shards=8, steering="rss")
     down = make_tcp_sources(400, 1448, tag=Bound.INBOUND)
     up = make_tcp_sources(400, 8948, tag=Bound.OUTBOUND, base_port=30000,
                           client_net="10.1.0", server_net="198.51.100")

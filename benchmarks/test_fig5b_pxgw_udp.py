@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath, encode_caravan
+from repro.core import Bound, GatewayConfig, encode_caravan
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.workload import interleave, make_udp_sources
 
 WARMUP = 30_000
@@ -38,7 +39,7 @@ class CaravanSource:
 
 
 def run_configuration(config: GatewayConfig, seed: int = 2):
-    datapath = GatewayDatapath(config)
+    datapath = GatewayFleet(config, shards=8, steering="rss")
     down = make_udp_sources(400, 1472, tag=Bound.INBOUND)
     up_inner = make_udp_sources(400, 1472, base_port=40000,
                                 client_net="10.1.0", server_net="198.51.100")

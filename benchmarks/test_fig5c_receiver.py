@@ -15,8 +15,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath
+from repro.core import Bound, GatewayConfig
 from repro.cpu import XEON_5512U
+from repro.fleet import GatewayFleet
 from repro.nic import ReceiverConfig, ReceiverModel
 from repro.workload import interleave, make_tcp_sources, make_udp_sources
 
@@ -40,7 +41,8 @@ def legacy_stream(udp: bool = False):
 
 def translate_through_pxgw(packets):
     """Run the legacy stream through a PXGW and return its b-network output."""
-    datapath = GatewayDatapath(GatewayConfig(elephant_threshold_packets=2))
+    datapath = GatewayFleet(GatewayConfig(elephant_threshold_packets=2),
+                            shards=8, steering="rss")
     outputs = datapath.process_stream(
         ((packet, Bound.INBOUND) for packet in packets), final_flush=True
     )

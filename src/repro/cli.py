@@ -347,12 +347,13 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_fig5a(args) -> int:
-    from .core import Bound, GatewayConfig, GatewayDatapath
+    from .core import Bound, GatewayConfig
     from .cpu import XEON_6554S
+    from .fleet import GatewayFleet
     from .workload import interleave, make_tcp_sources
 
     def run(config):
-        datapath = GatewayDatapath(config)
+        datapath = GatewayFleet(config, shards=8, steering="rss")
         down = make_tcp_sources(400, 1448, tag=Bound.INBOUND)
         up = make_tcp_sources(400, 8948, tag=Bound.OUTBOUND, base_port=30000,
                               client_net="10.1.0", server_net="198.51.100")

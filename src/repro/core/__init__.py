@@ -10,7 +10,6 @@ from .caravan import (
 )
 from .classifier import FlowClassifier
 from .config import Bound, GatewayConfig
-from .dispatch import GatewayDatapath
 from .flow_table import FlowState, FlowTable
 from .gateway import FPMTUD_PORT, PXGateway
 from .imtu_exchange import IMTU_EXCHANGE_PORT, ImtuSpeaker
@@ -27,7 +26,6 @@ __all__ = [
     "FPMTUD_PORT",
     "ImtuSpeaker",
     "IMTU_EXCHANGE_PORT",
-    "GatewayDatapath",
     "GatewayWorker",
     "WorkerMode",
     "GatewayStats",

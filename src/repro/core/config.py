@@ -62,7 +62,6 @@ class GatewayConfig:
     #: tables so eviction policy (not memory growth) absorbs city-scale
     #: flow churn.
     flow_table_capacity: int = 1_000_000
-    workers: int = 8
     poll_batch: int = 64
     #: Lifetime of learned PMTU-cache entries (resilience layer).
     pmtu_cache_ttl: float = 30.0

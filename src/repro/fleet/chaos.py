@@ -296,11 +296,14 @@ def run_loss_scenario(
         if not shard.alive:
             continue
         for record in shard.worker.flows.snapshot():
-            if fleet.steering.shard_for(record[0]) != shard.id:
+            # owner_of, not shard_for: the check must not count as
+            # steering decisions in the counters observe_fleet exports.
+            owner = fleet.steering.owner_of(record[0])
+            if owner != shard.id:
                 oracle.expect(
                     False, "flow-affinity",
                     f"flow {record[0]} lives on shard {shard.id}, steering "
-                    f"says {fleet.steering.shard_for(record[0])}",
+                    f"says {owner}",
                 )
                 break
 

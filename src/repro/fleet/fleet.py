@@ -1,14 +1,20 @@
-"""The horizontal gateway tier: N worker shards behind flow steering.
+"""The sharded PXGW datapath: N worker shards behind flow steering.
 
-A :class:`GatewayFleet` is the city-scale generalization of
-:class:`repro.core.GatewayDatapath`: instead of co-located worker cores
-behind one RSS indirection table, it runs N independent
-:class:`~repro.core.worker.GatewayWorker` shards behind the
-rendezvous-hash :class:`~.steering.FleetSteering` stage, each with a
-*bounded* flow table whose LRU eviction (capacity and idle expiry)
-absorbs city-scale flow churn.
+A :class:`GatewayFleet` runs N :class:`~repro.core.worker.GatewayWorker`
+shards behind one steering stage and drives them in poll batches.  The
+paper's multi-RX-queue design and the city-scale tier are the same
+structure at two scales, picked by the ``steering`` argument:
 
-What the fleet adds over the single instance:
+* ``"rss"`` — co-located worker cores behind the NIC's Toeplitz
+  indirection table (:class:`repro.nic.rss.RssDistributor`).  This is
+  the Figure 5 datapath; the table is fixed, so membership never
+  changes.
+* ``"rendezvous"`` (default) — independent shards behind the
+  rendezvous-hash :class:`~.steering.FleetSteering` stage, each with a
+  *bounded* flow table whose LRU eviction (capacity and idle expiry)
+  absorbs city-scale flow churn.
+
+Rendezvous steering lets membership change:
 
 * **shard loss** — :meth:`~GatewayFleet.fail_shard` retires a shard
   from steering and redistributes its checkpointed flow records onto
@@ -22,9 +28,10 @@ What the fleet adds over the single instance:
   flows (:meth:`drain_shard`); on recovery, :meth:`rejoin_shard` wins
   back exactly the flows the rendezvous map returns to it, with the
   survivors donating the corresponding records.
-* **fleet conservation** — the per-worker identities extend to the
-  tier: live payload in == live payload out + still-buffered, summed
-  over live shards plus the retired aggregate.
+
+Under either steering the per-worker conservation identities extend to
+the tier: live payload in == live payload out + still-buffered, summed
+over live shards plus the retired aggregate.
 
 Checkpoints reuse PR 2's :func:`repro.resilience.failover.checkpoint_worker`
 wholesale; the supervisor module wires the PR 2 ``HealthMonitor`` /
@@ -33,6 +40,7 @@ wholesale; the supervisor module wires the PR 2 ``HealthMonitor`` /
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.caravan import caravan_inner_count, is_caravan
@@ -40,6 +48,7 @@ from ..core.config import GatewayConfig
 from ..core.stats import GatewayStats
 from ..core.worker import GatewayWorker
 from ..cpu import DEFAULT_GATEWAY_COSTS, CpuSpec, CycleAccount, GatewayCosts
+from ..nic.rss import RssDistributor
 from ..packet import Packet
 from ..resilience.failover import WorkerCheckpoint, checkpoint_worker
 from .steering import FleetSteering
@@ -69,7 +78,12 @@ class FleetShard:
 
 
 class GatewayFleet:
-    """N gateway shards behind a flow-consistent steering stage."""
+    """N gateway shards behind a flow-consistent steering stage.
+
+    ``steering`` is ``"rendezvous"`` (membership can change: shards
+    fail, drain and rejoin) or ``"rss"`` (the fixed RSS indirection
+    table of one multi-core PXGW instance).
+    """
 
     def __init__(
         self,
@@ -78,9 +92,16 @@ class GatewayFleet:
         costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
         steering_seed: int = 0xF1EE7,
         flow_idle_timeout: float = 30.0,
+        steering: str = "rendezvous",
     ):
         if shards <= 0:
             raise ValueError("need at least one shard")
+        if steering == "rendezvous":
+            self.steering = FleetSteering(shards, seed=steering_seed)
+        elif steering == "rss":
+            self.steering = RssDistributor(queues=shards)
+        else:
+            raise ValueError(f"unknown steering {steering!r}")
         self.config = config
         self.costs = costs
         self.flow_idle_timeout = flow_idle_timeout
@@ -88,7 +109,6 @@ class GatewayFleet:
             FleetShard(GatewayWorker(config, costs=costs, index=index), index)
             for index in range(shards)
         ]
-        self.steering = FleetSteering(shards, seed=steering_seed)
         #: Counters of shards that died, folded so fleet-level
         #: conservation keeps balancing after a loss.
         self.retired = GatewayStats()
@@ -121,22 +141,15 @@ class GatewayFleet:
             return self.shards[self.steering.shard_for_unkeyed()]
         return self.shards[self.steering.shard_for(key)]
 
-    def process(self, packet: Packet, bound: str, now: float = 0.0) -> List[Packet]:
-        """Process one packet on its steering-assigned shard."""
-        if self.trace is not None:
-            self.trace._now = now
-        return self.shard_for(packet).worker.process(packet, bound, now)
-
     def process_batch(
         self, packets: "List[Tuple[Packet, str]]", now: float = 0.0
     ) -> List[Packet]:
         """Steer one poll burst and run each share as a worker batch.
 
-        The fleet twin of
-        :meth:`repro.core.GatewayDatapath.process_batch`: packets bucket
-        per ``(shard, bound)`` in arrival order, each bucket runs
-        through :meth:`~repro.core.worker.GatewayWorker.process_batch`,
-        and egress comes out bucket-grouped in first-seen order.
+        Packets bucket per ``(shard, bound)`` in arrival order, each
+        bucket runs through
+        :meth:`~repro.core.worker.GatewayWorker.process_batch`, and
+        egress comes out bucket-grouped in first-seen order.
         """
         if self.trace is not None:
             self.trace._now = now
@@ -171,6 +184,13 @@ class GatewayFleet:
         on_batch=None,
     ) -> List[Packet]:
         """Drive a (packet, bound) stream through the fleet in poll batches.
+
+        ``batch_interval`` approximates the wall-clock spacing of poll
+        batches at line rate (64 mixed packets every ~1.5 us at Tbps
+        load); it advances a virtual clock that drives the
+        delayed-merge timers.  Keep ``final_flush`` off when measuring
+        steady-state yield: the artificial end-of-stream flush emits
+        one partial segment per flow that a continuous run would not.
 
         ``on_batch(batch_index, now)``, when given, fires after every
         poll batch — the chaos harness uses it to kill a shard
@@ -252,6 +272,7 @@ class GatewayFleet:
         Flow records redistribute to whichever survivor the rendezvous
         map now assigns each flow, so affinity survives the loss.
         """
+        self._check_membership()
         shard = self.shards[index]
         if not shard.alive:
             raise ValueError(f"shard {index} is already dead")
@@ -286,6 +307,13 @@ class GatewayFleet:
                                 reason="shard-loss")
         return flushed
 
+    def _check_membership(self) -> None:
+        if isinstance(self.steering, RssDistributor):
+            raise ValueError(
+                "an RSS-steered fleet has a fixed indirection table: "
+                "shards cannot fail, drain or rejoin"
+            )
+
     def _rebalance_records(self, records: List[tuple], donor: FleetShard,
                            now: float = 0.0,
                            reason: str = "rebalance") -> None:
@@ -295,21 +323,10 @@ class GatewayFleet:
         buckets: Dict[int, List[tuple]] = {}
         steering = self.steering
         trace = self.trace
-        if trace is not None:
-            # Rebalance hops are recorded explicitly below with the
-            # donor attached; mute the generic cache-miss hook so each
-            # move lands as exactly one hop.
-            with trace.suppressed():
-                for record in records:
-                    target = steering.shard_for(record[0])
-                    bucket = buckets.get(target)
-                    if bucket is None:
-                        buckets[target] = [record]
-                    else:
-                        bucket.append(record)
-                    trace.rebalance(record[0], donor.id, target, now,
-                                    reason=reason)
-        else:
+        # Rebalance hops are recorded explicitly below with the donor
+        # attached; mute the generic cache-miss hook so each move lands
+        # as exactly one hop.
+        with trace.suppressed() if trace is not None else contextlib.nullcontext():
             for record in records:
                 target = steering.shard_for(record[0])
                 bucket = buckets.get(target)
@@ -317,6 +334,9 @@ class GatewayFleet:
                     buckets[target] = [record]
                 else:
                     bucket.append(record)
+                if trace is not None:
+                    trace.rebalance(record[0], donor.id, target, now,
+                                    reason=reason)
         for target, share in buckets.items():
             adopted = self.shards[target].worker.flows.adopt(share)
             self.shards[target].adopted_flows += adopted
@@ -335,6 +355,7 @@ class GatewayFleet:
         monitor's job — but new traffic re-steers to the survivors and
         its flow records follow, so the classifier verdicts survive.
         """
+        self._check_membership()
         shard = self.shards[index]
         if not shard.alive or shard.drained:
             return 0
@@ -354,6 +375,7 @@ class GatewayFleet:
         returning shard starts warm instead of re-classifying its whole
         flow population.
         """
+        self._check_membership()
         shard = self.shards[index]
         if not shard.alive or not shard.drained:
             return 0
@@ -364,17 +386,7 @@ class GatewayFleet:
         for donor in self.shards:
             if donor.id == index or not donor.alive:
                 continue
-            if trace is not None:
-                with trace.suppressed():
-                    donated = [
-                        record
-                        for record in donor.worker.flows.snapshot()
-                        if self.steering.shard_for(record[0]) == index
-                    ]
-                for record in donated:
-                    trace.rebalance(record[0], donor.id, index, now,
-                                    reason="rejoin")
-            else:
+            with trace.suppressed() if trace is not None else contextlib.nullcontext():
                 donated = [
                     record
                     for record in donor.worker.flows.snapshot()
@@ -382,6 +394,9 @@ class GatewayFleet:
                 ]
             for record in donated:
                 donor.worker.flows.remove(record[0])
+                if trace is not None:
+                    trace.rebalance(record[0], donor.id, index, now,
+                                    reason="rejoin")
             if donated:
                 donor.donated_flows += len(donated)
                 returned.extend(donated)
@@ -447,6 +462,29 @@ class GatewayFleet:
     # ------------------------------------------------------------------
     # Modeled throughput
     # ------------------------------------------------------------------
+    def sustainable_throughput_bps(self, spec: CpuSpec) -> float:
+        """Forwarding throughput (bits/s of IP packets) on *spec*.
+
+        CPU bound: traffic splits across live shards in the measured
+        proportion, so the hottest shard's cycles-per-forwarded-byte
+        bounds the system.  Memory bound: aggregate DRAM traffic is a
+        shared resource.
+        """
+        accounts = [shard.worker.account for shard in self.live_shards()]
+        total_bytes = sum(account.goodput_bytes for account in accounts)
+        if total_bytes == 0:
+            return 0.0
+        max_cycles = max(account.cycles for account in accounts)
+        cpu_bound = float("inf")
+        if max_cycles > 0:
+            cpu_bound = spec.clock_hz / max_cycles * total_bytes * 8
+        total_mem = sum(account.mem_bytes for account in accounts)
+        mem_bound = float("inf")
+        if total_mem > 0:
+            mem_bound = spec.mem_bw_bytes_per_sec / total_mem * total_bytes * 8
+        bound = min(cpu_bound, mem_bound)
+        return 0.0 if bound == float("inf") else bound
+
     def sustainable_throughput_pps(self, spec: CpuSpec) -> float:
         """Modeled packets/s on *spec*, one core per live shard.
 

@@ -54,7 +54,14 @@ def flow_hash(key: FlowKey, rss_key: bytes = DEFAULT_RSS_KEY) -> int:
 
 
 class RssDistributor:
-    """Maps flows onto *queues* receive queues via an indirection table."""
+    """Maps flows onto *queues* receive queues via an indirection table.
+
+    It is also the ``steering="rss"`` stage of a
+    :class:`repro.fleet.GatewayFleet` (queues are shards), so it keeps
+    the counters and hook of :class:`repro.fleet.steering.FleetSteering`
+    that the fleet and ``observe_fleet`` read.  The indirection table is
+    fixed: there is no membership to change.
+    """
 
     def __init__(self, queues: int, key: bytes = DEFAULT_RSS_KEY, table_size: int = 128):
         if queues <= 0:
@@ -67,21 +74,42 @@ class RssDistributor:
         #: Steering decisions landed on each queue (cached hits count:
         #: every call is one hardware steering decision).
         self.steered = [0] * queues
+        self.cache_hits = 0
+        self.cache_misses = 0
+        #: Membership changes applied: always 0, the table is fixed.
+        self.reshards = 0
+        self._rr = 0
+        #: Optional ``(flow, queue)`` hook fired on every cache miss.
+        self.on_decision = None
 
-    def queue_for(self, flow: FlowKey) -> int:
+    def shard_for(self, flow: FlowKey) -> int:
         """The RX queue index this flow lands on."""
         cached = self._cache.get(flow)
         if cached is not None:
+            self.cache_hits += 1
             self.steered[cached] += 1
             return cached
+        self.cache_misses += 1
         queue = self.table[flow_hash(flow, self.key) % len(self.table)]
         self._cache[flow] = queue
         self.steered[queue] += 1
+        if self.on_decision is not None:
+            self.on_decision(flow, queue)
         return queue
+
+    def shard_for_unkeyed(self) -> int:
+        """Round-robin fallback for packets without a 4-tuple.
+
+        Fragments and ICMP have no ports to hash; NICs fall back to
+        IP-pair hashing, modeled here as taking the queues in turn.
+        """
+        self._rr = (self._rr + 1) % self.queues
+        self.steered[self._rr] += 1
+        return self._rr
 
     def distribution(self, flows: Sequence[FlowKey]) -> "list[int]":
         """Per-queue flow counts for a set of flows (imbalance analysis)."""
         counts = [0] * self.queues
         for flow in flows:
-            counts[self.queue_for(flow)] += 1
+            counts[self.shard_for(flow)] += 1
         return counts

@@ -208,7 +208,7 @@ class _NicFrontend:
         flow = packet.flow_key()
         if flow is None:
             return
-        self.queues[self.rss.queue_for(flow)].push(packet)
+        self.queues[self.rss.shard_for(flow)].push(packet)
 
     def start(self) -> None:
         if not self._polling:

@@ -354,42 +354,22 @@ def _stream_workload(quick: bool) -> list:
     return list(interleave(down * 2 + up, count, rng, mean_run=16.0))
 
 
-def _run_datapath_stream(stream: list, batched: bool) -> int:
-    from ..core import GatewayConfig, GatewayDatapath
-
-    datapath = GatewayDatapath(GatewayConfig())
-    datapath.process_stream(stream, batched=batched)
-    return len(stream)
-
-
 @_bench("gateway_stream")
 def _prepare_gateway_stream(quick: bool) -> Callable[[], int]:
-    """The offline datapath (Figure-5 entry point), packet at a time.
+    """The offline datapath (Figure-5 entry point).
 
-    The scalar twin of ``gateway_world_batched``: identical workload,
-    identical configuration, per-packet dispatch — the pair's ratio is
-    the measured batching speedup at the dispatch layer.
+    An 8-shard RSS-steered :class:`~repro.fleet.GatewayFleet`: each
+    poll batch is steered once and every ``(shard, bound)`` share runs
+    through ``GatewayWorker.process_batch``.
     """
+    from ..core import GatewayConfig
+    from ..fleet import GatewayFleet
+
     stream = _stream_workload(quick)
 
     def run() -> int:
-        return _run_datapath_stream(stream, batched=False)
-
-    return run
-
-
-@_bench("gateway_world_batched")
-def _prepare_gateway_world_batched(quick: bool) -> Callable[[], int]:
-    """The offline datapath with batch-vectorized dispatch.
-
-    Each poll batch is RSS-sharded once and runs through
-    ``GatewayWorker.process_batch`` — one mode/observability prologue
-    per bucket, one flow-table lookup per run of same-flow packets.
-    """
-    stream = _stream_workload(quick)
-
-    def run() -> int:
-        return _run_datapath_stream(stream, batched=True)
+        GatewayFleet(GatewayConfig(), shards=8, steering="rss").process_stream(stream)
+        return len(stream)
 
     return run
 

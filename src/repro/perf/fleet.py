@@ -9,9 +9,10 @@ Two rates are reported per shard count:
 
 * **modeled pkts/s** — the cycle-accounted rate on a real CPU spec,
   with one core per shard: total packets over the *hottest* shard's
-  cycle demand (the most-loaded queue bounds the fleet, the same
-  bottleneck structure as
-  :meth:`repro.core.GatewayDatapath.sustainable_throughput_bps`).
+  cycle demand (the most-loaded queue bounds the fleet; the RSS-steered
+  Figure 5 datapath is the same class, and its
+  :meth:`~repro.fleet.GatewayFleet.sustainable_throughput_bps` takes
+  the same hottest-shard bound).
   This is the scaling claim's measurement — it is deterministic and
   reflects the parallelism the fleet actually exposes.
 * **wall pkts/s** — single-threaded simulation wall-clock, reported

@@ -2,6 +2,8 @@
 evaluation at checkpoint cadence, history replay, and the shard-loss
 mid-pending case (PR 10, satellite)."""
 
+import pytest
+
 from repro.fleet.chaos import run_loss_scenario
 
 
@@ -96,3 +98,30 @@ def test_steering_cache_counters_exported():
     assert hits == fleet.steering.cache_hits > 0
     assert misses == fleet.steering.cache_misses > 0
     assert hits + misses == fleet.steering.cache_hits + fleet.steering.cache_misses
+
+
+@pytest.mark.parametrize("profile,seed,loss_mode", [
+    ("tcp", 3, "crash"),
+    ("mixed", 115, "crash"),
+    ("pmtud", 122, "maintenance"),
+])
+def test_affinity_oracle_does_not_count_as_steering(profile, seed, loss_mode):
+    """The bundle's steering counters are the datapath's own decisions.
+
+    With the flow-affinity check skipped, every steering decision is
+    either a packet steered into a shard or a flow record rebalanced
+    onto one.  The check runs before the bundle is built, so it must
+    peek at ownership without adding to those counters.
+    """
+    result = run_loss_scenario(profile, seed, loss_mode=loss_mode, observe=True)
+    metrics = result.incident["metrics"]
+    fleet = 'fleet="fleet0"'
+    hits = metrics[f"px_fleet_steering_cache_hits_total{{{fleet}}}"]
+    misses = metrics[f"px_fleet_steering_cache_misses_total{{{fleet}}}"]
+    assert hits + misses == result.packets + result.flows_migrated
+    for shard in range(4):
+        labels = f'{{{fleet},shard="{shard}"}}'
+        steered = metrics["px_fleet_shard_steered_total" + labels]
+        rx = metrics["px_fleet_shard_rx_packets_total" + labels]
+        adopted = metrics["px_fleet_shard_adopted_flows_total" + labels]
+        assert steered == rx + adopted, f"shard {shard}"

@@ -1,12 +1,13 @@
-"""Tests for the multi-core gateway datapath (worker + RSS dispatch)."""
+"""Tests for the multi-core gateway datapath (worker + RSS-steered fleet)."""
 
 import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath, GatewayWorker
+from repro.core import Bound, GatewayConfig, GatewayWorker
 from repro.cpu import XEON_6554S
-from repro.packet import TCPFlags, build_tcp
+from repro.fleet import GatewayFleet
+from repro.packet import ICMPMessage, TCPFlags, build_icmp, build_tcp
 from repro.workload import interleave, make_tcp_sources
 
 
@@ -71,22 +72,57 @@ class TestGatewayWorker:
         assert worker.account.breakdown["gro-sw"] == pytest.approx(10 * 2500.0)
 
 
-class TestGatewayDatapath:
+def rss_fleet(config=None):
+    return GatewayFleet(config or GatewayConfig(), shards=8, steering="rss")
+
+
+#: Shard picked for the first packet of each of ``make_tcp_sources(200,
+#: 1448)``, with an ICMP echo (no flow key) steered after every 25th
+#: flow.  Pinned from the 8-worker RSS dispatcher this fleet replaced.
+RSS_MAP_200 = (
+    "2135367134535017376063246102605425760632461060542654234106432427602017"
+    "1453167174235154241064324276075424150643242760445350175235367615760632"
+    "46106054262353671734535017023536713453501730017145316717235754241064"
+)
+
+
+class TestRssSteeredFleet:
     def test_flow_affinity_to_workers(self):
-        dp = GatewayDatapath(GatewayConfig())
+        dp = rss_fleet()
         source = make_tcp_sources(1, 1448)[0]
-        first = dp.worker_for(source.next_packet())
+        first = dp.shard_for(source.next_packet())
         for _ in range(10):
-            assert dp.worker_for(source.next_packet()) is first
+            assert dp.shard_for(source.next_packet()) is first
 
     def test_flows_spread_over_workers(self):
-        dp = GatewayDatapath(GatewayConfig(workers=8))
+        dp = rss_fleet()
         sources = make_tcp_sources(200, 1448)
-        used = {dp.worker_for(s.next_packet()).index for s in sources}
+        used = {dp.shard_for(s.next_packet()).id for s in sources}
         assert len(used) == 8
 
+    def test_flow_to_shard_map_is_pinned(self):
+        dp = rss_fleet()
+        picks = []
+        for index, source in enumerate(make_tcp_sources(200, 1448)):
+            picks.append(dp.shard_for(source.next_packet()).id)
+            if index % 25 == 0:
+                echo = ICMPMessage.echo_request(7, index)
+                icmp = build_icmp("198.51.100.78", "10.1.0.8", echo)
+                picks.append(dp.shard_for(icmp).id)
+        assert "".join(map(str, picks)) == RSS_MAP_200
+
+    def test_membership_is_fixed(self):
+        dp = rss_fleet()
+        with pytest.raises(ValueError):
+            dp.fail_shard(0, now=0.0)
+        with pytest.raises(ValueError):
+            dp.drain_shard(0, now=0.0)
+        with pytest.raises(ValueError):
+            dp.rejoin_shard(0, now=0.0)
+        assert all(shard.alive for shard in dp.shards)
+
     def test_stream_processing_yield_and_throughput(self):
-        dp = GatewayDatapath(GatewayConfig())
+        dp = rss_fleet()
         dp.process_stream(bidirectional_stream(20000), final_flush=False)
         dp.reset_measurement()
         dp.process_stream(bidirectional_stream(30000, seed=2), final_flush=False)
@@ -96,7 +132,7 @@ class TestGatewayDatapath:
 
     def test_px_beats_baseline_on_both_axes(self):
         def run(config):
-            dp = GatewayDatapath(config)
+            dp = rss_fleet(config)
             dp.process_stream(bidirectional_stream(15000), final_flush=False)
             dp.reset_measurement()
             dp.process_stream(bidirectional_stream(25000, seed=3), final_flush=False)
@@ -114,7 +150,7 @@ class TestGatewayDatapath:
         # At scale PX is memory-bandwidth bound; header-only DMA lifts
         # that bound (Figure 5a's 1.09 -> 1.45 Tbps step).
         def run(config):
-            dp = GatewayDatapath(config)
+            dp = rss_fleet(config)
             dp.process_stream(bidirectional_stream(15000, flows=200),
                               final_flush=False)
             dp.reset_measurement()
@@ -125,17 +161,17 @@ class TestGatewayDatapath:
         assert run(GatewayConfig(header_only_dma=True)) > 1.1 * run(GatewayConfig())
 
     def test_reset_measurement_keeps_merge_state(self):
-        dp = GatewayDatapath(GatewayConfig())
+        dp = rss_fleet()
         dp.process_stream(bidirectional_stream(5000), final_flush=False)
-        pending_before = sum(w.merge.pending_bytes() for w in dp.workers)
+        pending_before = dp.pending_tcp_bytes()
         dp.reset_measurement()
         assert dp.combined_account().cycles == 0
-        assert sum(w.merge.pending_bytes() for w in dp.workers) == pending_before
+        assert dp.pending_tcp_bytes() == pending_before
 
     def test_delayed_merge_improves_yield(self):
         def run(delayed):
             config = GatewayConfig(delayed_merge=delayed, hairpin_small_flows=False)
-            dp = GatewayDatapath(config)
+            dp = rss_fleet(config)
             dp.process_stream(bidirectional_stream(15000), final_flush=False)
             dp.reset_measurement()
             dp.process_stream(bidirectional_stream(25000, seed=4), final_flush=False)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayDatapath, GatewayWorker
+from repro.core import Bound, GatewayConfig, GatewayWorker
 from repro.cpu import XEON_6554S
+from repro.fleet import GatewayFleet
 from repro.packet import build_tcp
 from repro.workload import interleave, make_tcp_sources
 
@@ -56,7 +57,7 @@ class TestNicMemoryPressure:
         def tput(flows, hdo, nic_memory):
             config = GatewayConfig(header_only_dma=hdo, hairpin_small_flows=False,
                                    nic_memory_bytes=nic_memory)
-            datapath = GatewayDatapath(config)
+            datapath = GatewayFleet(config, shards=8, steering="rss")
             sources = make_tcp_sources(flows, 1448, tag=Bound.INBOUND)
             rng = random.Random(3)
             datapath.process_stream(interleave(sources, 10_000, rng, 24.0),

@@ -67,7 +67,7 @@ class TestRssDistributor:
     def test_same_flow_always_same_queue(self):
         rss = RssDistributor(queues=4)
         flow = FlowKey(IPProto.UDP, 123, 456, 789, 80)
-        assert rss.queue_for(flow) == rss.queue_for(flow)
+        assert rss.shard_for(flow) == rss.shard_for(flow)
 
     def test_invalid_queue_count(self):
         with pytest.raises(ValueError):

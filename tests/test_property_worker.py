@@ -111,6 +111,6 @@ class TestRssProperties:
     def test_queue_always_in_range_and_stable(self, src, sport, dport, queues):
         rss = RssDistributor(queues=queues)
         key = FlowKey(IPProto.TCP, src, sport, 0x0A010001, dport)
-        queue = rss.queue_for(key)
+        queue = rss.shard_for(key)
         assert 0 <= queue < queues
-        assert rss.queue_for(key) == queue
+        assert rss.shard_for(key) == queue

@@ -17,8 +17,8 @@ import pytest
 
 from repro.core.caravan import encode_caravan
 from repro.core.config import GatewayConfig
-from repro.core.dispatch import GatewayDatapath
 from repro.core.worker import Bound, GatewayWorker, WorkerMode
+from repro.fleet import GatewayFleet
 from repro.obs import FlowTracer, SpanTracker
 from repro.packet import ICMPMessage, TCPFlags, build_icmp, build_tcp, build_udp
 from repro.workload import interleave, make_tcp_sources, make_udp_sources
@@ -71,7 +71,7 @@ def _bursts():
 BURSTS = _bursts()
 
 
-def _run(mode, observer, batched):
+def _run(mode, observer, per_packet):
     """Drive BURSTS through one worker; returns (worker, egress)."""
     worker = GatewayWorker(GatewayConfig(), index=0)
     if observer == "tracer":
@@ -82,11 +82,11 @@ def _run(mode, observer, batched):
     now = 0.0
     for bound, burst in BURSTS:
         packets = [packet.copy() for packet in burst]
-        if batched:
-            egress += worker.process_batch(packets, bound, now)
-        else:
+        if per_packet:
             for packet in packets:
                 egress += worker.process(packet, bound, now)
+        else:
+            egress += worker.process_batch(packets, bound, now)
         now += 200e-6
         egress += worker.end_batch(now)
     egress += worker.end_batch(now + 1.0)
@@ -96,8 +96,8 @@ def _run(mode, observer, batched):
 @pytest.mark.parametrize("observer", OBSERVERS)
 @pytest.mark.parametrize("mode", WorkerMode.ALL)
 def test_batch_equals_per_packet(mode, observer):
-    batch_w, batch_out = _run(mode, observer, batched=True)
-    single_w, single_out = _run(mode, observer, batched=False)
+    batch_w, batch_out = _run(mode, observer, per_packet=False)
+    single_w, single_out = _run(mode, observer, per_packet=True)
 
     assert _zeroed(batch_out) == _zeroed(single_out)
     assert vars(batch_w.stats) == vars(single_w.stats)
@@ -148,8 +148,8 @@ def _stream(count=2000):
 def _flow_outputs(outputs):
     """Egress grouped per flow, with process-global IP IDs zeroed.
 
-    ``GatewayDatapath.process_batch`` buckets a poll batch per
-    ``(worker, bound)``, so the batched stream interleaves flows
+    ``GatewayFleet.process_batch`` buckets a poll batch per
+    ``(shard, bound)``, so the batched stream interleaves flows
     differently from the per-packet one; each flow's own egress must
     still match byte for byte.
     """
@@ -159,22 +159,48 @@ def _flow_outputs(outputs):
     return flows
 
 
-def _run_datapath(batched):
-    datapath = GatewayDatapath(GatewayConfig())
-    outputs = datapath.process_stream(_stream(), batched=batched)
-    return datapath, outputs
+def _per_packet_stream(fleet, stream, batch_interval=1.5e-6):
+    """Reference driver: ``process_stream`` one packet at a time.
+
+    Each packet goes through its shard's ``worker.process``; every
+    shard's ``end_batch`` runs at the same poll-batch boundaries and
+    virtual times as :meth:`GatewayFleet.process_stream`, final flush
+    included.
+    """
+    outputs = []
+    now = 0.0
+    fill = 0
+    for packet, bound in stream:
+        outputs.extend(fleet.shard_for(packet).worker.process(packet, bound, now))
+        fill += 1
+        if fill >= fleet.config.poll_batch:
+            now += batch_interval
+            fill = 0
+            outputs.extend(fleet.end_batch(now))
+    now += fleet.config.merge_timeout * 2
+    outputs.extend(fleet.end_batch(now))
+    return outputs
+
+
+def _run_datapath(per_packet):
+    fleet = GatewayFleet(GatewayConfig(), shards=8, steering="rss")
+    if per_packet:
+        outputs = _per_packet_stream(fleet, _stream())
+    else:
+        outputs = fleet.process_stream(_stream())
+    return fleet, outputs
 
 
 def test_batched_stream_matches_scalar_stream():
-    scalar_dp, scalar_out = _run_datapath(batched=False)
-    batched_dp, batched_out = _run_datapath(batched=True)
+    scalar_dp, scalar_out = _run_datapath(per_packet=True)
+    batched_dp, batched_out = _run_datapath(per_packet=False)
 
     scalar_stats = scalar_dp.combined_stats()
     batched_stats = batched_dp.combined_stats()
     for field in vars(scalar_stats):
         s, b = getattr(scalar_stats, field), getattr(batched_stats, field)
         if isinstance(s, (int, bool)):
-            assert s == b, f"stat {field}: scalar={s} batched={b}"
+            assert s == b, f"stat {field}: per-packet={s} batch={b}"
 
     scalar_acct = scalar_dp.combined_account()
     batched_acct = batched_dp.combined_account()
@@ -188,9 +214,10 @@ def test_batched_stream_matches_scalar_stream():
 
 
 def test_batched_per_worker_accounts_match():
-    scalar_dp, _ = _run_datapath(batched=False)
-    batched_dp, _ = _run_datapath(batched=True)
-    for scalar_w, batched_w in zip(scalar_dp.workers, batched_dp.workers):
+    scalar_dp, _ = _run_datapath(per_packet=True)
+    batched_dp, _ = _run_datapath(per_packet=False)
+    for scalar_s, batched_s in zip(scalar_dp.shards, batched_dp.shards):
+        scalar_w, batched_w = scalar_s.worker, batched_s.worker
         assert batched_w.account.cycles == scalar_w.account.cycles, (
             f"worker {scalar_w.index} cycle drift"
         )
