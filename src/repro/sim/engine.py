@@ -76,7 +76,8 @@ class EventHandle:
 #: loop treats fast events exactly like live handle-carrying ones.
 _FAST_HANDLE = EventHandle(0.0, 0)
 
-#: Effectively-infinite tick bound used when ``run`` has no horizon.
+#: Effectively-infinite tick: the bound of a ``run`` with no horizon,
+#: and the cached head tick of an empty overflow lane.
 _NO_LIMIT_TICK = 1 << 62
 
 
@@ -113,6 +114,10 @@ class Simulator:
         #: Far-future lane: a heap of entries with ticks beyond the
         #: current window; ordered by (time, seq) like everything else.
         self._overflow: List[_Entry] = []
+        #: A lower bound on the overflow head's tick (exact after each
+        #: migration; a lazy pop of a cancelled head only raises the
+        #: true value), so the run loop tests for due entries in O(1).
+        self._overflow_tick = _NO_LIMIT_TICK
         #: The next tick the drain will visit; all wheel entries have
         #: tick >= cursor (earlier-time stragglers are clamped into the
         #: cursor bucket, where the per-bucket sort restores exact order).
@@ -135,30 +140,7 @@ class Simulator:
         """Run ``callback(*args)`` *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        # The insert is inlined (here and in the two variants below):
-        # this is called once or twice per packet hop, so the extra
-        # frame was measurable in the event loop.  A tick the cursor
-        # already swept past (its events fired but ``now`` still sits
-        # inside it) parks in the cursor bucket, where the per-bucket
-        # (time, seq) sort restores exact firing order.
-        time = self._now + delay
-        seq = next(self._sequence)
-        handle = EventHandle(time, seq, owner=self)
-        tick = int(time * self._res_inv)
-        cursor = self._cursor
-        if tick < cursor:
-            tick = cursor
-        if tick - cursor < self._slots:
-            index = tick & self._mask
-            bucket = self._wheel[index]
-            if not bucket:
-                self._occupied |= 1 << index
-            bucket.append((time, seq, handle, callback, args))
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, seq, handle, callback, args))
-        self._live += 1
-        return handle
+        return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulation *time*."""
@@ -166,20 +148,7 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} (now={self._now})")
         seq = next(self._sequence)
         handle = EventHandle(time, seq, owner=self)
-        tick = int(time * self._res_inv)
-        cursor = self._cursor
-        if tick < cursor:
-            tick = cursor
-        if tick - cursor < self._slots:
-            index = tick & self._mask
-            bucket = self._wheel[index]
-            if not bucket:
-                self._occupied |= 1 << index
-            bucket.append((time, seq, handle, callback, args))
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, seq, handle, callback, args))
-        self._live += 1
+        self._insert((time, seq, handle, callback, args))
         return handle
 
     def schedule_fast(self, delay: float, callback: Callable, *args: Any) -> None:
@@ -201,12 +170,27 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        tick = int(time * self._res_inv)
+        self.schedule_fast_at(self._now + delay, callback, *args)
+
+    def schedule_fast_at(self, time: float, callback: Callable, *args: Any) -> None:
+        """Schedule a non-cancellable event at absolute simulation *time*.
+
+        Same contract as :meth:`schedule_fast`.  Links use the absolute
+        form so a delivery lands at exactly ``serialize_end + delay``.
+        """
+        if time < self._now:
+            raise ValueError(f"cannot schedule at {time} (now={self._now})")
+        self._insert((time, next(self._sequence), _FAST_HANDLE, callback, args))
+
+    def _insert(self, entry: _Entry) -> None:
+        # The one insert every schedule variant funnels into.  A tick
+        # the cursor already swept past (its events fired but ``now``
+        # still sits inside it) parks in the cursor bucket, where the
+        # per-bucket (time, seq) sort restores exact firing order.
+        tick = int(entry[0] * self._res_inv)
         cursor = self._cursor
         if tick < cursor:
             tick = cursor
-        entry = (time, next(self._sequence), _FAST_HANDLE, callback, args)
         if tick - cursor < self._slots:
             index = tick & self._mask
             bucket = self._wheel[index]
@@ -216,6 +200,8 @@ class Simulator:
             self._wheel_count += 1
         else:
             heapq.heappush(self._overflow, entry)
+            if tick < self._overflow_tick:
+                self._overflow_tick = tick
         self._live += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -234,7 +220,6 @@ class Simulator:
         slots = self._slots
         overflow = self._overflow
         res_inv = self._res_inv
-        heappop = heapq.heappop
         # Hoist the per-iteration Optional checks out of the loop: an
         # infinite horizon compares False forever, and a -1 countdown
         # never equals the post-increment counter.
@@ -245,23 +230,14 @@ class Simulator:
         try:
             while True:
                 cursor = self._cursor
+                if self._overflow_tick < cursor + slots:
+                    # Overflow entries whose tick has entered the window
+                    # migrate before the cursor bucket drains — on every
+                    # advance, so a run of occupied buckets cannot hold
+                    # them back past later events.
+                    self._migrate(cursor)
                 bucket = wheel[cursor & mask]
                 if not bucket:
-                    if not self._wheel_count and not overflow:
-                        break
-                    # An overflow entry whose tick has entered the
-                    # window migrates to its bucket before any jump, so
-                    # the occupancy mask sees it.
-                    if overflow:
-                        end = cursor + slots
-                        while overflow:
-                            tick = int(overflow[0][0] * res_inv)
-                            if tick >= end:
-                                break
-                            index = tick & mask
-                            wheel[index].append(heappop(overflow))
-                            self._wheel_count += 1
-                            self._occupied |= 1 << index
                     occupied = self._occupied
                     if occupied:
                         # Jump straight to the next occupied slot: rotate
@@ -278,6 +254,8 @@ class Simulator:
                             break
                         self._cursor = cursor
                         continue
+                    if not overflow:
+                        break
                     # Wheel empty: jump the cursor straight to the next
                     # overflow tick instead of sweeping idle slots.
                     top_time = overflow[0][0]
@@ -285,17 +263,7 @@ class Simulator:
                         if limit_tick > cursor:
                             self._cursor = limit_tick
                         break
-                    cursor = int(top_time * res_inv)
-                    self._cursor = cursor
-                    end = cursor + slots
-                    while overflow:
-                        tick = int(overflow[0][0] * res_inv)
-                        if tick >= end:
-                            break
-                        index = tick & mask
-                        wheel[index].append(heappop(overflow))
-                        self._wheel_count += 1
-                        self._occupied |= 1 << index
+                    self._cursor = int(top_time * res_inv)
                     continue
                 # Drain the cursor bucket in exact (time, seq) order.
                 # The bucket stays in the wheel while firing, so
@@ -342,6 +310,26 @@ class Simulator:
         if until is not None and self._now < until:
             self._now = until
         return self._now
+
+    def _migrate(self, cursor: int) -> None:
+        """Move overflow entries whose tick is inside the window into it."""
+        overflow = self._overflow
+        end = cursor + self._slots
+        res_inv = self._res_inv
+        mask = self._mask
+        wheel = self._wheel
+        while overflow:
+            tick = int(overflow[0][0] * res_inv)
+            if tick >= end:
+                self._overflow_tick = tick
+                return
+            if tick < cursor:
+                tick = cursor
+            index = tick & mask
+            wheel[index].append(heapq.heappop(overflow))
+            self._wheel_count += 1
+            self._occupied |= 1 << index
+        self._overflow_tick = _NO_LIMIT_TICK
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None if idle."""

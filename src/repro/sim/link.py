@@ -2,9 +2,13 @@
 
 A :class:`Link` is unidirectional; :func:`connect` wires two interfaces
 with a link in each direction.  The transmission model is the standard
-store-and-forward pipeline: packets serialize one at a time at line
+store-and-forward pipeline — packets serialize one at a time at line
 rate (including Ethernet framing overhead), wait in a byte-bounded FIFO
-when the line is busy, then propagate.
+when the line is busy, then propagate — computed analytically: the
+link tracks when its line frees up and which accepted packets are still
+waiting, so a clean link costs one delivery event per packet and an
+impaired one (netem or a fault injector) two, the first at
+serialize-end where the impairment is decided.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ class LinkStats:
     """Counters a link keeps for analysis."""
 
     def __init__(self):
+        #: Packets accepted onto the line (not dropped at transmit).
         self.transmitted = 0
         self.delivered = 0
         self.dropped_queue = 0
@@ -50,7 +55,16 @@ class LinkStats:
 
 
 class Link:
-    """A unidirectional channel between two interfaces."""
+    """A unidirectional channel between two interfaces.
+
+    Every link runs one analytic model: :meth:`transmit` assigns each
+    accepted packet its serialization slot on the line and schedules
+    its arrival, via a serialize-end event when netem or an injector
+    must first decide its fate.  Taps only observe; attaching one never
+    changes a delivery time.  Netem and a fault injector apply to
+    packets accepted *after* they are installed — a packet already on
+    the line keeps the fate decided when it was accepted.
+    """
 
     def __init__(
         self,
@@ -81,18 +95,14 @@ class Link:
         #: ``apply(packet, now) -> List[Tuple[Packet, float]]``: the
         #: copies to deliver with per-copy extra delay (empty = drop).
         self.injector = None
-        self._queue: Deque[Tuple[Packet, int]] = deque()
-        self._queued_bytes = 0
-        self._busy = False
-        #: Analytic fast-path state (clean links only): the time the
-        #: line finishes serializing everything accepted so far, and a
-        #: ledger of ``(serialize_start, size)`` for packets that are
-        #: still *waiting* (start > now).  Waiting bytes stay counted in
-        #: ``_queued_bytes`` so the overflow check and ``queue_depth``
-        #: match the store-and-forward model exactly; entries are
-        #: drained lazily once their serialize slot begins.
+        #: The time the line finishes serializing everything accepted
+        #: so far, and a ledger of ``(serialize_start, size)`` for
+        #: packets still *waiting* (start > now).  Waiting bytes are
+        #: counted in ``_queued_bytes`` for the overflow check and are
+        #: retired lazily once their serialize slot begins.
         self._line_free_at = 0.0
         self._inflight: Deque[Tuple[float, int]] = deque()
+        self._queued_bytes = 0
 
     def add_tap(self, tap: LinkTap) -> None:
         """Attach an observer called for every packet event."""
@@ -113,9 +123,8 @@ class Link:
         classical PMTUD behind ICMP blackholes.
 
         *size* is the packet's ``total_len``, passed in when the caller
-        already computed it; the link threads it through the queue and
-        the serialize/deliver events so the length is derived exactly
-        once per traversal.
+        already computed it; the link threads it through to delivery so
+        the length is derived exactly once per traversal.
         """
         if size is None:
             size = packet.total_len
@@ -127,8 +136,8 @@ class Link:
         now = sim.now
         inflight = self._inflight
         if inflight:
-            # Retire analytic entries whose serialize slot has begun;
-            # they no longer occupy queue space.
+            # Retire entries whose serialize slot has begun; they no
+            # longer occupy queue space.
             queued = self._queued_bytes
             while inflight and inflight[0][0] <= now:
                 queued -= inflight.popleft()[1]
@@ -137,33 +146,9 @@ class Link:
             self.stats.dropped_queue += 1
             self._notify("drop-queue", packet)
             return False
-        if self.taps or self.injector is not None or self.netem is not None or self._busy:
-            # Observed or impaired link (or the scalar machinery is mid
-            # service): run the event-per-stage store-and-forward model,
-            # which gives taps and fault hooks their exact firing points.
-            if self.taps:
-                self._notify("tx", packet)
-            if not self._busy:
-                if self._line_free_at > now:
-                    # Analytic packets are still serializing (a tap or
-                    # fault was attached mid-flight): hold this packet
-                    # until the line frees, then resume scalar service.
-                    self._busy = True
-                    self._queue.append((packet, size))
-                    self._queued_bytes += size
-                    sim.schedule_fast(self._line_free_at - now, self._start_next)
-                    return True
-                # Idle line ⇒ the queue is empty: put the packet straight
-                # on the wire instead of round-tripping it through the deque.
-                self._busy = True
-                serialization = wire_bytes_for_payload(size) * 8 / self.bandwidth_bps
-                sim.schedule_fast(serialization, self._serialized, packet, size)
-                return True
-            self._queue.append((packet, size))
-            self._queued_bytes += size
-            return True
-        # Clean unobserved link: the full pipeline is analytic — one
-        # delivery event per packet instead of serialize/dequeue/deliver.
+        if self.taps:
+            self._notify("tx", packet)
+        self.stats.transmitted += 1
         start = self._line_free_at
         if start <= now:
             start = now
@@ -172,87 +157,16 @@ class Link:
             self._queued_bytes += size
         end = start + wire_bytes_for_payload(size) * 8 / self.bandwidth_bps
         self._line_free_at = end
-        sim.schedule_fast(end - now + self.delay, self._deliver_analytic, packet, size)
+        if self.injector is None and self.netem is None:
+            sim.schedule_fast_at(end + self.delay, self._deliver, packet, size)
+        else:
+            # Impairment is decided at serialize-end, not here: both
+            # directions of a connection share one ``rng``, so draws
+            # must happen in the order packets leave their lines.
+            sim.schedule_fast_at(end, self._serialized, packet, size)
         return True
 
-    def transmit_burst(self, packets: "List[Packet]") -> int:
-        """Enqueue a burst of packets; returns how many were accepted.
-
-        Per-packet semantics are exactly :meth:`transmit` in order, but
-        on a clean unobserved link the analytic fast path runs with the
-        per-call lookups (sim clock, bandwidth, queue check state)
-        hoisted out of the loop — the batch-dequeue boundary hands the
-        link a whole poll burst in one call.
-        """
-        if self.taps or self.injector is not None or self.netem is not None or self._busy:
-            accepted = 0
-            transmit = self.transmit
-            for packet in packets:
-                if transmit(packet):
-                    accepted += 1
-            return accepted
-        sim = self.sim
-        now = sim.now
-        schedule = sim.schedule_fast
-        stats = self.stats
-        mtu = self.mtu
-        delay = self.delay
-        bandwidth_bps = self.bandwidth_bps
-        inflight = self._inflight
-        queued = self._queued_bytes
-        if inflight:
-            while inflight and inflight[0][0] <= now:
-                queued -= inflight.popleft()[1]
-        queue_limit = self.queue_bytes
-        line_free_at = self._line_free_at
-        accepted = 0
-        for packet in packets:
-            size = packet.total_len
-            if size > mtu:
-                stats.dropped_mtu += 1
-                self._notify("drop-mtu", packet)
-                continue
-            if queued + size > queue_limit:
-                stats.dropped_queue += 1
-                self._notify("drop-queue", packet)
-                continue
-            start = line_free_at
-            if start <= now:
-                start = now
-            else:
-                inflight.append((start, size))
-                queued += size
-            # Same expression (and rounding) as the scalar path: the
-            # delivery timestamps must be bit-identical either way.
-            end = start + wire_bytes_for_payload(size) * 8 / bandwidth_bps
-            line_free_at = end
-            schedule(end - now + delay, self._deliver_analytic, packet, size)
-            accepted += 1
-        self._queued_bytes = queued
-        self._line_free_at = line_free_at
-        return accepted
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        packet, size = self._queue.popleft()
-        self._queued_bytes -= size
-        serialization = wire_bytes_for_payload(size) * 8 / self.bandwidth_bps
-        self.sim.schedule_fast(serialization, self._serialized, packet, size)
-
     def _serialized(self, packet: Packet, size: int) -> None:
-        self.stats.transmitted += 1
-        if self.injector is None and self.netem is None:
-            # Clean link: no fault copies, no impairment — deliver the
-            # original after the propagation delay.
-            self.sim.schedule_fast(self.delay, self._deliver, packet, size)
-            if self._queue:
-                self._start_next()
-            else:
-                self._busy = False
-            return
         deliveries: List[Tuple[Packet, float]] = [(packet, 0.0)]
         if self.injector is not None:
             deliveries = self.injector.apply(packet, self.sim.now)
@@ -276,23 +190,9 @@ class Link:
                     copy,
                     size if copy is packet else copy.total_len,
                 )
-        self._start_next()
 
     def _deliver(self, packet: Packet, size: int) -> None:
         stats = self.stats
-        stats.delivered += 1
-        stats.bytes_delivered += size
-        packet.timestamp = self.sim.now
-        if self.taps:
-            self._notify("rx", packet)
-        self.dst.deliver(packet, size)
-
-    def _deliver_analytic(self, packet: Packet, size: int) -> None:
-        # Analytic packets charge ``transmitted`` here rather than at
-        # serialize-end (there is no serialize event); totals agree with
-        # the scalar model once the simulation drains.
-        stats = self.stats
-        stats.transmitted += 1
         stats.delivered += 1
         stats.bytes_delivered += size
         packet.timestamp = self.sim.now
@@ -310,7 +210,7 @@ class Link:
             while inflight and inflight[0][0] <= now:
                 queued -= inflight.popleft()[1]
             self._queued_bytes = queued
-        return len(self._queue) + len(inflight)
+        return len(inflight)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -4,8 +4,7 @@
 Python overhead — they promise *bit-identical* results to the scalar
 ``internet_checksum`` / ``Packet.to_bytes`` loops, including the pack
 side effects the scalar path leaves behind (stored L4 checksums,
-recomputed IP total lengths).  These tests pin that contract, plus the
-delivery-order determinism of the batched link path.
+recomputed IP total lengths).  These tests pin that contract.
 """
 
 import copy
@@ -178,43 +177,3 @@ def test_serialize_many_udp_zero_checksum_maps_to_ffff():
     assert scalar.l4.checksum == 0xFFFF  # the zero result was remapped
     assert serialize_many([magic]) == [wire]
     assert magic.l4.checksum == 0xFFFF
-
-
-# ---------------------------------------------------------------------------
-# Batched link delivery: exact (time, seq) order parity
-# ---------------------------------------------------------------------------
-
-
-def _run_world(burst: bool):
-    """Send the same 40 packets through a one-link sim, burst vs scalar."""
-    from repro.packet.builder import as_ip
-    from repro.sim import Node, Simulator, connect
-
-    delivered = []
-
-    class Sink(Node):
-        def receive(self, packet, iface):
-            delivered.append((self.sim.now, packet.ip.identification))
-
-    sim = Simulator()
-    a = Sink(sim, "a")
-    b = Sink(sim, "b")
-    ia = a.add_interface(as_ip("10.0.0.1"), mtu=9200)
-    ib = b.add_interface(as_ip("10.0.0.2"), mtu=9200)
-    connect(sim, ia, ib, bandwidth_bps=1e9, delay=1e-4, mtu=9200)
-    packets = [
-        build_tcp("10.0.0.1", "10.0.0.2", 1000 + i % 4, 80,
-                  payload=b"z" * (100 + 37 * i), ip_id=i)
-        for i in range(40)
-    ]
-    if burst:
-        ia.send_burst(packets)
-    else:
-        for p in packets:
-            ia.send(p)
-    sim.run()
-    return delivered
-
-
-def test_send_burst_preserves_delivery_order_and_times():
-    assert _run_world(burst=True) == _run_world(burst=False)

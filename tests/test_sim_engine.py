@@ -311,3 +311,28 @@ def test_schedule_fast_far_future_overflow_heap():
     assert sim.peek_time() == pytest.approx(horizon / 2)
     sim.run()
     assert fired == ["near", "far"]
+
+
+# ---------------------------------------------------------------------------
+# Overflow migration under a fully occupied window
+# ---------------------------------------------------------------------------
+
+
+def test_overflow_timer_fires_on_time_while_every_bucket_is_occupied():
+    # A 50 µs self-rescheduling tick keeps every 100 µs wheel bucket
+    # occupied for 60 ms (well past the 25.6 ms window), so the cursor
+    # never lands on an empty bucket.  The 30 ms timer starts in the
+    # overflow lane and must still fire at 30 ms, in time order.
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if sim.now < 0.060:
+            sim.schedule(50e-6, tick)
+
+    sim.schedule(0.0, tick)
+    sim.schedule(0.030, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == sorted(fired)
+    assert 0.030 in fired
