@@ -13,24 +13,21 @@ and the conversion yield.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import GatewayConfig, PXGateway
-from repro.net import Topology
+from repro.core import GatewayConfig, Wire, build_border
 from repro.tcpstack import TCPConnection, TCPListener
 
 
 def main():
     # ------------------------------------------------------------------
-    # Topology: one b-network border.
+    # Topology: one b-network border.  A link declared *into* pxgw
+    # faces the b-network (iMTU side).
     # ------------------------------------------------------------------
-    topo = Topology()
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig(imtu=9000, emtu=1500))
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=9000, bandwidth_bps=10e9, delay=50e-6)
-    topo.link(gateway, outside, mtu=1500, bandwidth_bps=10e9, delay=500e-6)
-    topo.build_routes()
-    gateway.mark_internal(gateway.interfaces[0])  # first link faces the b-network
+    world = build_border(0, ("inside", "outside"), (), [
+        Wire("inside", "pxgw", "int", mtu=9000, bandwidth_bps=10e9, delay=50e-6),
+        Wire("pxgw", "outside", "ext", mtu=1500, bandwidth_bps=10e9, delay=500e-6),
+    ], config=GatewayConfig(imtu=9000, emtu=1500))
+    topo, gateway = world.topo, world.gateway
+    inside, outside = world.inside, world.outside
 
     # ------------------------------------------------------------------
     # A legacy server outside, a jumbo-capable client inside.

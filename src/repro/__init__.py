@@ -25,16 +25,13 @@ The library is organized bottom-up:
 
 Quick start::
 
-    from repro.core import GatewayConfig, PXGateway
-    from repro.net import Topology
+    from repro.core import GatewayConfig, Wire, build_border
 
-    topo = Topology()
-    inside, outside = topo.add_host("inside"), topo.add_host("outside")
-    gw = topo.add_node(PXGateway(topo.sim, "pxgw", GatewayConfig()))
-    topo.link(inside, gw, mtu=9000)
-    topo.link(gw, outside, mtu=1500)
-    topo.build_routes()
-    gw.mark_internal(gw.interfaces[0])
+    world = build_border(0, ("inside", "outside"), (), [
+        Wire("inside", "pxgw", "int", mtu=9000),   # into pxgw: b-network side
+        Wire("pxgw", "outside", "ext", mtu=1500),
+    ], config=GatewayConfig())
+    world.links["ext_out"]  # the directed pxgw -> outside link
 
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.

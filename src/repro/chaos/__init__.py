@@ -36,12 +36,10 @@ from .faults import (
     LinkInjector,
     LyingDaemonInjector,
     Match,
-    apply_gateway_faults,
 )
-from .oracle import ChaosTap, InvariantOracle, summarize_packet, trace_digest
+from .oracle import ChaosTap, InvariantOracle, attach_taps, summarize_packet, trace_digest
 from .scenarios import (
     PROFILES,
-    ChaosWorld,
     ScenarioResult,
     build_plan,
     build_world,
@@ -63,7 +61,6 @@ __all__ = [
     "FaultLog",
     "LinkInjector",
     "LyingDaemonInjector",
-    "apply_gateway_faults",
     "apply_attack_faults",
     "attack_corpus",
     "build_attack_plan",
@@ -72,10 +69,10 @@ __all__ = [
     "run_differential",
     "ChaosTap",
     "InvariantOracle",
+    "attach_taps",
     "summarize_packet",
     "trace_digest",
     "PROFILES",
-    "ChaosWorld",
     "ScenarioResult",
     "build_world",
     "build_plan",

@@ -32,15 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import GatewayConfig, PXGateway
-from ..net import Topology
-from ..obs import (
-    AlertEngine,
-    Observability,
-    SpanTracker,
-    TelemetryTimeline,
-    observe_pmtud,
-)
+from ..core import BorderWorld, Wire, build_border
+from ..obs import observe_pmtud
 from ..obs.alerts import adversarial_alert_rules
 from ..packet import ICMPMessage, IPProto, build_icmp, build_tcp, build_udp
 from ..pmtud import ECHO_PORT, FPmtudDaemon, FPmtudProber, Plpmtud, ProbeEchoDaemon
@@ -52,7 +45,7 @@ from ..resilience import PmtuCache, ResilientPmtud
 from ..resilience.ptb import PtbListener
 from ..tcpstack import TCPConnection, TCPListener
 from .faults import AttackFault, Fault, FaultLog, FaultPlan, LyingDaemonInjector, Match
-from .oracle import ChaosTap, InvariantOracle, trace_digest
+from .oracle import ChaosTap, InvariantOracle, attach_taps, trace_digest
 from .scenarios import PROBER_PORT
 
 __all__ = [
@@ -86,33 +79,21 @@ NEIGHBOR_FLOW = ("neighbor", 41001, "server", 9101)
 
 
 @dataclass
-class AttackWorld:
-    """A chaos world with an adversary attached."""
+class AttackWorld(BorderWorld):
+    """A border world with an adversary attached: hosts ``victim``,
+    ``neighbor``, ``server`` and ``attacker``, router ``mid``."""
 
-    topo: Topology
-    gateway: PXGateway
-    victim: object
-    neighbor: object
-    server: object
-    attacker: object
-    mid: object
-    links: Dict[str, object]
-    taps: Dict[str, ChaosTap]
-    log: FaultLog
-    policy: HardeningPolicy
-    hardened: bool
+    policy: Optional[HardeningPolicy] = None
+    hardened: bool = True
     #: Discovery agents (all policy-carrying).
-    prober: FPmtudProber
-    plpmtud: Plpmtud
-    classical: ClassicalPmtud
-    resilient: ResilientPmtud
-    ptb_victim: PtbListener
-    ptb_neighbor: PtbListener
+    prober: Optional[FPmtudProber] = None
+    plpmtud: Optional[Plpmtud] = None
+    classical: Optional[ClassicalPmtud] = None
+    resilient: Optional[ResilientPmtud] = None
+    ptb_victim: Optional[PtbListener] = None
+    ptb_neighbor: Optional[PtbListener] = None
     #: Role name -> address, for resolving AttackFault targets.
     roles: Dict[str, int] = field(default_factory=dict)
-    obs: Optional[object] = None
-    alerts: Optional[AlertEngine] = None
-    timeline: Optional[TelemetryTimeline] = None
 
 
 @dataclass
@@ -146,39 +127,24 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
     """Build the adversarial topology: victim+neighbor | PXGW | mid | server,
     with the attacker hanging off the mid router."""
     policy = HardeningPolicy.hardened() if hardened else HardeningPolicy.unhardened()
-    topo = Topology(seed=434343)
-    victim = topo.add_host("victim")
-    neighbor = topo.add_host("neighbor")
-    server = topo.add_host("server")
-    attacker = topo.add_host("attacker")
-    config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
-    gateway = PXGateway(topo.sim, "pxgw", config=config)
-    topo.add_node(gateway)
-    mid = topo.add_router("mid")
-
     # External links are deliberately slow (100 Mb/s): uploads must
     # still be in flight while the attacks run, so mis-sizing shows up
     # in the packet stream rather than racing the transfer's end.
-    topo.link(victim, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.link(neighbor, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.link(gateway, mid, mtu=_EMTU, bandwidth_bps=100e6, delay=2e-4)
-    topo.link(mid, server, mtu=BOTTLENECK_MTU, bandwidth_bps=100e6, delay=2e-4)
-    topo.link(mid, attacker, mtu=_EMTU, bandwidth_bps=100e6, delay=1e-4)
-
-    links: Dict[str, object] = {}
-    _, _, ext_out, ext_in = topo.edge(gateway, mid)
-    _, _, far_out, far_in = topo.edge(mid, server)
-    _, _, atk_out, atk_in = topo.edge(attacker, mid)
-    _, vic_gw_iface, vic_out, vic_in = topo.edge(victim, gateway)
-    _, nbr_gw_iface, nbr_out, nbr_in = topo.edge(neighbor, gateway)
-    links.update(ext_out=ext_out, ext_in=ext_in, far_out=far_out,
-                 far_in=far_in, atk_out=atk_out, atk_in=atk_in,
-                 vic_out=vic_out, vic_in=vic_in,
-                 nbr_out=nbr_out, nbr_in=nbr_in)
-
-    topo.build_routes()
-    gateway.mark_internal(vic_gw_iface)
-    gateway.mark_internal(nbr_gw_iface)
+    world = build_border(
+        434343, ("victim", "neighbor", "server", "attacker"), ("mid",), [
+            Wire("victim", "pxgw", "vic", mtu=_IMTU, delay=5e-5),
+            Wire("neighbor", "pxgw", "nbr", mtu=_IMTU, delay=5e-5),
+            Wire("pxgw", "mid", "ext", mtu=_EMTU, bandwidth_bps=100e6, delay=2e-4),
+            Wire("mid", "server", "far", mtu=BOTTLENECK_MTU, bandwidth_bps=100e6,
+                 delay=2e-4),
+            Wire("mid", "attacker", "atk", mtu=_EMTU, bandwidth_bps=100e6,
+                 delay=1e-4),
+        ])
+    links = world.links
+    # The attacker link is created mid→attacker (that fixes its /30) but
+    # its roles are named from the attacker's side.
+    links["atk_out"], links["atk_in"] = links["atk_in"], links["atk_out"]
+    victim, neighbor, server = world.victim, world.neighbor, world.server
     # b-network hosts: the gateway may bundle inbound UDP (including an
     # attacker's spray) into caravans, so the victims must open them.
     victim.enable_caravan_stack(_IMTU)
@@ -186,10 +152,9 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
 
     # The PMTU cache carries the policy: per-flow keying, unsolicited
     # bounds, and raise rejection all live behind it.
-    cache = PmtuCache(default_ttl=config.pmtu_cache_ttl, policy=policy)
-    gateway.attach_pmtu_cache(cache)
-    gateway.enable_resilience()
-    obs = gateway.attach_observability(Observability(spans=SpanTracker()))
+    cache = PmtuCache(default_ttl=world.gateway.config.pmtu_cache_ttl, policy=policy)
+    world.gateway.attach_pmtu_cache(cache)
+    world.instrument(alert_rules=adversarial_alert_rules())
 
     # Discovery agents on the victim, all carrying the same policy.
     FPmtudDaemon(server)
@@ -206,34 +171,22 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
                                cache_ttl=None, seed=seed)
     ptb_victim = PtbListener(victim, cache, policy=policy, link_mtu=_EMTU)
     ptb_neighbor = PtbListener(neighbor, cache, policy=policy, link_mtu=_EMTU)
+    observe_pmtud(world.obs, prober=prober)
 
-    observe_pmtud(obs, prober=prober)
-    alerts = AlertEngine(adversarial_alert_rules())
-    timeline = TelemetryTimeline(topo.sim, obs.registry, interval=0.05,
-                                 alerts=alerts)
-    timeline.start()
-
-    taps: Dict[str, ChaosTap] = {}
-    for role in ("ext_out", "ext_in", "far_out", "far_in",
-                 "vic_out", "vic_in", "nbr_out", "nbr_in"):
-        tap = ChaosTap(role)
-        links[role].add_tap(tap)
-        taps[role] = tap
-
+    world.taps = attach_taps(links, ("ext_out", "ext_in", "far_out", "far_in",
+                                     "vic_out", "vic_in", "nbr_out", "nbr_in"))
+    world.log = FaultLog()
     roles = {
         "victim": victim.ip,
         "neighbor": neighbor.ip,
         "server": server.ip,
-        "attacker": attacker.ip,
-        "mid": mid.interfaces[0].ip,
+        "attacker": world.attacker.ip,
+        "mid": world.mid.interfaces[0].ip,
     }
     return AttackWorld(
-        topo=topo, gateway=gateway, victim=victim, neighbor=neighbor,
-        server=server, attacker=attacker, mid=mid, links=links, taps=taps,
-        log=FaultLog(), policy=policy, hardened=hardened, prober=prober,
+        **vars(world), policy=policy, hardened=hardened, prober=prober,
         plpmtud=plpmtud, classical=classical, resilient=resilient,
         ptb_victim=ptb_victim, ptb_neighbor=ptb_neighbor, roles=roles,
-        obs=obs, alerts=alerts, timeline=timeline,
     )
 
 
@@ -286,7 +239,8 @@ def apply_attack_faults(plan: FaultPlan, world: AttackWorld) -> None:
 
     Off-path kinds become timed spoofed sends from the attacker host;
     ``lying_daemon`` installs a report-rewriting injector on its link.
-    Link faults in the plan are installed as usual.
+    Link and gateway faults in the plan are then installed as on any
+    border world (:meth:`~repro.chaos.faults.FaultPlan.install`).
     """
     sim = world.topo.sim
     for fault in plan.attack_faults:
@@ -298,14 +252,7 @@ def apply_attack_faults(plan: FaultPlan, world: AttackWorld) -> None:
         for burst in range(fault.count):
             sim.schedule_at(fault.at + burst * fault.interval,
                             fire, world, fault)
-    for role, injector in plan.injectors(world.log).items():
-        link = world.links.get(role)
-        if link is None:
-            raise ValueError(
-                f"attack plan targets unknown link role {role!r} "
-                f"(this world has {sorted(world.links)})"
-            )
-        link.injector = injector
+    plan.install(world.links, world.gateway, world.log)
 
 
 # ----------------------------------------------------------------------

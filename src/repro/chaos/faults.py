@@ -23,7 +23,8 @@ Three fault families:
   attacker host at absolute times), and a lying on-path report daemon
   (:class:`LyingDaemonInjector` rewriting genuine fragment reports).
   Scheduling them onto a world is done by
-  :func:`repro.chaos.attacks.apply_attack_faults`.
+  :func:`repro.chaos.attacks.apply_attack_faults`; link and gateway
+  faults go onto any border world by :meth:`FaultPlan.install`.
 
 Semantics chosen to match real networks:
 
@@ -54,7 +55,6 @@ __all__ = [
     "LinkInjector",
     "LyingDaemonInjector",
     "FaultLog",
-    "apply_gateway_faults",
     "ATTACK_KINDS",
 ]
 
@@ -385,6 +385,28 @@ class FaultPlan:
             by_link.setdefault(fault.link, []).append(fault)
         return {link: LinkInjector(faults, log) for link, faults in by_link.items()}
 
+    def install(self, links: "Dict[str, object]", gateway,
+                log: Optional[FaultLog] = None) -> FaultLog:
+        """Install the plan on a world: one injector per link role, then
+        the gateway faults scheduled onto *gateway*'s simulator.
+
+        Returns the log the injectors share (*log*, or a fresh one).
+        Raises :class:`ValueError` for a role *links* does not have — a
+        typo'd role would otherwise silently no-op the fault.
+        """
+        log = log if log is not None else FaultLog()
+        for role, injector in self.injectors(log).items():
+            link = links.get(role)
+            if link is None:
+                raise ValueError(
+                    f"fault plan targets unknown link role {role!r} "
+                    f"(this world has {sorted(links)})"
+                )
+            link.injector = injector
+        for fault in self.gateway_faults:
+            _schedule_gateway_fault(fault, gateway)
+        return log
+
     def without(self, index: int) -> "FaultPlan":
         """A copy with the index-th fault removed (links, then gateway,
         then attacks)."""
@@ -412,12 +434,11 @@ class FaultPlan:
         )
 
 
-def apply_gateway_faults(plan: FaultPlan, gateway) -> None:
-    """Schedule the plan's gateway faults onto *gateway*'s simulator."""
+def _schedule_gateway_fault(fault: GatewayFault, gateway) -> None:
     sim = gateway.sim
     worker = gateway.worker
 
-    def start_eviction_storm(fault: GatewayFault) -> None:
+    def start_eviction_storm() -> None:
         saved = (worker.merge.max_contexts, worker.caravan_merge.max_contexts)
         worker.merge.max_contexts = fault.contexts
         worker.caravan_merge.max_contexts = fault.contexts
@@ -427,7 +448,7 @@ def apply_gateway_faults(plan: FaultPlan, gateway) -> None:
 
         sim.schedule(fault.duration, restore)
 
-    def start_nic_pressure(fault: GatewayFault) -> None:
+    def start_nic_pressure() -> None:
         saved = worker.nic_memory_bytes
         worker.nic_memory_bytes = fault.nic_memory_bytes
 
@@ -436,13 +457,12 @@ def apply_gateway_faults(plan: FaultPlan, gateway) -> None:
 
         sim.schedule(fault.duration, restore)
 
-    for fault in plan.gateway_faults:
-        if fault.kind == "stall":
-            sim.schedule_at(fault.at, gateway.stall, fault.duration)
-        elif fault.kind == "eviction_storm":
-            sim.schedule_at(fault.at, start_eviction_storm, fault)
-        elif fault.kind == "nic_pressure":
-            sim.schedule_at(fault.at, start_nic_pressure, fault)
+    if fault.kind == "stall":
+        sim.schedule_at(fault.at, gateway.stall, fault.duration)
+    elif fault.kind == "eviction_storm":
+        sim.schedule_at(fault.at, start_eviction_storm)
+    elif fault.kind == "nic_pressure":
+        sim.schedule_at(fault.at, start_nic_pressure)
 
 
 # Re-export for Match construction convenience.

@@ -38,6 +38,7 @@ from ..packet import Packet
 
 __all__ = [
     "ChaosTap",
+    "attach_taps",
     "InvariantOracle",
     "summarize_packet",
     "trace_digest",
@@ -123,6 +124,15 @@ class ChaosTap:
     def packets(self, event: str = "rx") -> List[tuple]:
         """Summaries of packets that produced *event* at this point."""
         return [summary for _, kind, summary in self.events if kind == event]
+
+
+def attach_taps(links: "Dict[str, object]", roles: "Iterable[str]") -> "Dict[str, ChaosTap]":
+    """A :class:`ChaosTap` on each of *links*' *roles*, keyed by role."""
+    taps: Dict[str, ChaosTap] = {}
+    for role in roles:
+        taps[role] = ChaosTap(role)
+        links[role].add_tap(taps[role])
+    return taps
 
 
 def trace_digest(taps: "Iterable[ChaosTap]") -> str:

@@ -27,26 +27,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import FPMTUD_PORT, GatewayConfig, PXGateway
-from ..net import Topology
-from ..obs import Observability, SpanTracker
+from ..core import FPMTUD_PORT, BorderWorld, Wire, build_border
 from ..packet import IPProto
 from ..pmtud import FPmtudDaemon, FPmtudProber
 from ..sim import Netem
 from ..tcpstack import TCPConnection, TCPListener
-from .faults import (
-    Fault,
-    FaultLog,
-    FaultPlan,
-    GatewayFault,
-    Match,
-    apply_gateway_faults,
-)
-from .oracle import ChaosTap, InvariantOracle, trace_digest
+from .faults import Fault, FaultLog, FaultPlan, GatewayFault, Match
+from .oracle import InvariantOracle, attach_taps, trace_digest
 
 __all__ = [
     "PROFILES",
-    "ChaosWorld",
     "ScenarioResult",
     "build_plan",
     "build_world",
@@ -66,29 +56,6 @@ _OUTSIDE_MSS = _EMTU - 40
 
 #: Candidate hidden-bottleneck MTUs for the pmtud profile.
 _PMTUD_BOTTLENECKS = (1280, 1356, 1408, 1444)
-
-
-@dataclass
-class ChaosWorld:
-    """A built topology plus the chaos instrumentation attached to it."""
-
-    topo: Topology
-    gateway: PXGateway
-    inside: object  # Host
-    outside: object  # Host
-    #: Directed links by role: int_out (inside->gw), int_in (gw->inside),
-    #: ext_in (toward gw from outside), ext_out (gw toward outside), and
-    #: for pmtud additionally far_in / far_out around the bottleneck.
-    links: Dict[str, object]
-    taps: Dict[str, ChaosTap]
-    log: FaultLog
-    mid_mtu: Optional[int] = None
-    #: The resilience HealthMonitor attached to the gateway.
-    monitor: Optional[object] = None
-    #: Observability bundle: metrics registry + span tracker, no tracer.
-    #: Both are read-only mirrors of the datapath, so attaching them
-    #: cannot perturb the digests (the perturbation guard pins this).
-    obs: Optional[object] = None
 
 
 @dataclass
@@ -119,28 +86,21 @@ class ScenarioResult:
 # ----------------------------------------------------------------------
 # World construction
 # ----------------------------------------------------------------------
-def build_world(profile: str, seed: int) -> ChaosWorld:
-    """Build the (deterministic) topology for one scenario."""
+def build_world(profile: str, seed: int) -> BorderWorld:
+    """Build the (deterministic) topology for one scenario: links ``int``
+    (inside→pxgw), ``ext`` (pxgw toward outside) and, for pmtud, ``far``
+    from router ``mid`` across the hidden bottleneck."""
     rng = random.Random(f"world:{profile}:{seed}")
-    topo = Topology(seed=424242)
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
-    gateway = PXGateway(topo.sim, "pxgw", config=config)
-    topo.add_node(gateway)
-
-    topo.link(inside, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-
-    links: Dict[str, object] = {}
-    mid_mtu: Optional[int] = None
+    inside = Wire("inside", "pxgw", "int", mtu=_IMTU, delay=5e-5)
+    routers: Tuple[str, ...] = ()
     if profile == "pmtud":
-        router = topo.add_router("mid")
-        mid_mtu = rng.choice(_PMTUD_BOTTLENECKS)
-        topo.link(gateway, router, mtu=_EMTU, bandwidth_bps=10e9, delay=2e-4)
-        topo.link(router, outside, mtu=mid_mtu, bandwidth_bps=10e9, delay=2e-4)
-        _, _, ext_out, ext_in = topo.edge(gateway, router)
-        _, _, far_out, far_in = topo.edge(router, outside)
-        links.update(ext_out=ext_out, ext_in=ext_in, far_out=far_out, far_in=far_in)
+        routers = ("mid",)
+        links = [
+            inside,
+            Wire("pxgw", "mid", "ext", mtu=_EMTU, delay=2e-4),
+            Wire("mid", "outside", "far", mtu=rng.choice(_PMTUD_BOTTLENECKS),
+                 delay=2e-4),
+        ]
     else:
         # Seed-chosen ambient impairment: delay/jitter/reorder only, no
         # probabilistic loss, so the injected-fault accounting the
@@ -154,46 +114,19 @@ def build_world(profile: str, seed: int) -> ChaosWorld:
                 reorder_extra=1e-3,
                 seed=rng.getrandbits(32),
             )
-        topo.link(gateway, outside, mtu=_EMTU, bandwidth_bps=10e9, delay=5e-5,
-                  netem=netem)
-        _, _, ext_out, ext_in = topo.edge(gateway, outside)
-        links.update(ext_out=ext_out, ext_in=ext_in)
-
-    _, gw_iface, int_out, int_in = topo.edge(inside, gateway)
-    links.update(int_out=int_out, int_in=int_in)
-
-    topo.build_routes()
-    gateway.mark_internal(gw_iface)
+        links = [inside, Wire("pxgw", "outside", "ext", mtu=_EMTU, delay=5e-5,
+                              netem=netem)]
     # The resilience layer under test: every scenario must end with the
-    # gateway back in HEALTHY (oracle check 5).
-    monitor = gateway.enable_resilience()
-    # Metrics registry + span tracker under test: the oracle reconciles
-    # the registry exports against the live conservation counters and
-    # asserts the span-balance identity at scenario end.  Both are
-    # read-only mirrors of the datapath (scrape-time pull collectors;
-    # span FIFOs driven by worker hooks that never touch packets, RNGs,
-    # or scheduling), so the chaos digests cannot move — the
-    # perturbation guard in tests/obs pins that.
-    obs = gateway.attach_observability(Observability(spans=SpanTracker()))
-
-    taps: Dict[str, ChaosTap] = {}
-    for role, link in links.items():
-        tap = ChaosTap(role)
-        link.add_tap(tap)
-        taps[role] = tap
-
-    return ChaosWorld(
-        topo=topo,
-        gateway=gateway,
-        inside=inside,
-        outside=outside,
-        links=links,
-        taps=taps,
-        log=FaultLog(),
-        mid_mtu=mid_mtu,
-        monitor=monitor,
-        obs=obs,
-    )
+    # gateway back in HEALTHY (oracle check 5).  The metrics registry
+    # and span tracker are read-only mirrors of the datapath (scrape-time
+    # pull collectors; span FIFOs driven by worker hooks that never touch
+    # packets, RNGs, or scheduling), so the oracle can reconcile them
+    # without moving a digest — the perturbation guard in tests/obs pins
+    # that.
+    world = build_border(424242, ("inside", "outside"), routers, links).instrument()
+    world.taps = attach_taps(world.links, world.links)
+    world.log = FaultLog()
+    return world
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +239,7 @@ def build_plan(profile: str, seed: int) -> FaultPlan:
 # ----------------------------------------------------------------------
 # Workloads (one per profile)
 # ----------------------------------------------------------------------
-def _await_handshakes(world: ChaosWorld, listeners: list, horizon: float = 4.0) -> float:
+def _await_handshakes(world: BorderWorld, listeners: list, horizon: float = 4.0) -> float:
     """Run until every listener has accepted a connection (bounded)."""
     deadline = 0.25
     world.topo.run(until=deadline)
@@ -316,14 +249,17 @@ def _await_handshakes(world: ChaosWorld, listeners: list, horizon: float = 4.0) 
     return deadline
 
 
-def _check_common(world: ChaosWorld, oracle: InvariantOracle) -> None:
+def _check_gateway(world: BorderWorld, oracle: InvariantOracle) -> None:
+    """Counter conservation, recovery to HEALTHY, and the registry and
+    span tracker reconciled against the live counters."""
     oracle.check_gateway_stats(world.gateway)
-    if world.monitor is not None:
-        oracle.check_recovery(world.monitor)
-    if world.obs is not None:
-        oracle.check_registry(world.obs.registry, world.gateway)
-        if world.obs.spans is not None:
-            oracle.check_spans(world.obs.spans, world.gateway)
+    oracle.check_recovery(world.monitor)
+    oracle.check_registry(world.obs.registry, world.gateway)
+    oracle.check_spans(world.obs.spans, world.gateway)
+
+
+def _check_common(world: BorderWorld, oracle: InvariantOracle) -> None:
+    _check_gateway(world, oracle)
     oracle.check_segment_sizes(world.taps["int_in"], _IMTU, _INSIDE_MSS)
     oracle.check_segment_sizes(world.taps["int_out"], _IMTU, _INSIDE_MSS)
     oracle.check_segment_sizes(world.taps["ext_in"], _EMTU, _OUTSIDE_MSS)
@@ -334,7 +270,7 @@ def _check_common(world: ChaosWorld, oracle: InvariantOracle) -> None:
     oracle.check_tcp_seq_coverage(world.taps["int_out"], world.taps["ext_out"])
 
 
-def _run_tcp(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
+def _run_tcp(world: BorderWorld, oracle: InvariantOracle) -> Dict[str, object]:
     down_bytes, up_bytes = 60_000, 30_000
     # Download: outside server sends to inside (the merge datapath).
     down_listener = TCPListener(world.outside, 80, mss=_OUTSIDE_MSS)
@@ -369,7 +305,7 @@ def _unique_payloads(tag: int, count: int, size: int) -> List[bytes]:
     return [(bytes([tag, i & 0xFF]) * size)[:size] for i in range(count)]
 
 
-def _setup_datagram_flows(world: ChaosWorld) -> Dict[str, list]:
+def _setup_datagram_flows(world: BorderWorld) -> Dict[str, list]:
     """Inbound bursts (outside->inside, gateway-built caravans) plus an
     outbound bulk send (inside->outside, host-built caravans)."""
     world.inside.enable_caravan_stack(_IMTU)
@@ -397,7 +333,7 @@ def _setup_datagram_flows(world: ChaosWorld) -> Dict[str, list]:
     }
 
 
-def _check_datagram_flows(world: ChaosWorld, oracle: InvariantOracle,
+def _check_datagram_flows(world: BorderWorld, oracle: InvariantOracle,
                           flows: Dict[str, list]) -> None:
     loss = world.log.udp_datagrams_lost
     dup = world.log.udp_datagrams_duplicated
@@ -413,7 +349,7 @@ def _check_datagram_flows(world: ChaosWorld, oracle: InvariantOracle,
     )
 
 
-def _run_caravan(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
+def _run_caravan(world: BorderWorld, oracle: InvariantOracle) -> Dict[str, object]:
     flows = _setup_datagram_flows(world)
     world.topo.run(until=2.5)
     _check_datagram_flows(world, oracle, flows)
@@ -427,7 +363,7 @@ def _run_caravan(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object
     }
 
 
-def _run_mixed(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
+def _run_mixed(world: BorderWorld, oracle: InvariantOracle) -> Dict[str, object]:
     down_bytes = 45_000
     down_listener = TCPListener(world.outside, 80, mss=_OUTSIDE_MSS)
     down = TCPConnection(world.inside, 40000, world.outside.ip, 80, mss=_INSIDE_MSS)
@@ -449,7 +385,7 @@ def _run_mixed(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
     }
 
 
-def _run_pmtud(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
+def _run_pmtud(world: BorderWorld, oracle: InvariantOracle) -> Dict[str, object]:
     FPmtudDaemon(world.outside)
     prober = FPmtudProber(world.inside, src_port=PROBER_PORT)
     results: list = []
@@ -468,25 +404,20 @@ def _run_pmtud(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
     launch()
     world.topo.run(until=6.0)
 
-    true_min = min(_EMTU, world.mid_mtu or _EMTU)
+    bottleneck = world.links["far_in"].mtu
+    true_min = min(_EMTU, bottleneck)
     oracle.check_pmtud(results, true_min)
-    oracle.check_gateway_stats(world.gateway)
-    if world.monitor is not None:
-        oracle.check_recovery(world.monitor)
-    if world.obs is not None:
-        oracle.check_registry(world.obs.registry, world.gateway)
-        if world.obs.spans is not None:
-            oracle.check_spans(world.obs.spans, world.gateway)
+    _check_gateway(world, oracle)
     oracle.check_segment_sizes(world.taps["ext_in"], _EMTU)
-    oracle.check_segment_sizes(world.taps["far_in"], world.mid_mtu or _EMTU)
+    oracle.check_segment_sizes(world.taps["far_in"], bottleneck)
     return {
         "attempts": attempts[0],
         "pmtu": results[-1].pmtu if results else None,
-        "bottleneck": world.mid_mtu,
+        "bottleneck": bottleneck,
     }
 
 
-_WORKLOADS: Dict[str, Callable[[ChaosWorld, InvariantOracle], Dict[str, object]]] = {
+_WORKLOADS: Dict[str, Callable[[BorderWorld, InvariantOracle], Dict[str, object]]] = {
     "tcp": _run_tcp,
     "caravan": _run_caravan,
     "mixed": _run_mixed,
@@ -501,7 +432,7 @@ def run_scenario(
     profile: str,
     seed: int,
     plan: Optional[FaultPlan] = None,
-    mutate: Optional[Callable[[ChaosWorld], None]] = None,
+    mutate: Optional[Callable[[BorderWorld], None]] = None,
 ) -> ScenarioResult:
     """Run one seeded chaos scenario end to end.
 
@@ -515,23 +446,13 @@ def run_scenario(
         plan = build_plan(profile, seed)
     world = build_world(profile, seed)
 
-    for role, injector in plan.injectors(world.log).items():
-        link = world.links.get(role)
-        if link is None:
-            # A typo'd role would otherwise silently no-op the fault.
-            raise ValueError(
-                f"fault plan targets unknown link role {role!r} "
-                f"(this world has {sorted(world.links)})"
-            )
-        link.injector = injector
-    apply_gateway_faults(plan, world.gateway)
+    plan.install(world.links, world.gateway, world.log)
     if mutate is not None:
         mutate(world)
 
     oracle = InvariantOracle()
     notes = _WORKLOADS[profile](world, oracle)
-    if world.monitor is not None:
-        notes["health"] = world.monitor.summary()
+    notes["health"] = world.monitor.summary()
     return ScenarioResult(
         profile=profile,
         seed=seed,

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..core import BorderWorld
 from .faults import FaultPlan
-from .scenarios import ChaosWorld, ScenarioResult, run_scenario
+from .scenarios import ScenarioResult, run_scenario
 
 __all__ = ["ShrinkResult", "shrink_plan"]
 
@@ -49,7 +50,7 @@ def shrink_plan(
     plan: FaultPlan,
     still_fails: Optional[Predicate] = None,
     max_runs: int = 200,
-    mutate: Optional[Callable[[ChaosWorld], None]] = None,
+    mutate: Optional[Callable[[BorderWorld], None]] = None,
 ) -> ShrinkResult:
     """Minimize *plan* while ``still_fails(run_scenario(...))`` holds.
 

@@ -242,20 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_gateway(args) -> int:
-    from .core import GatewayConfig, PXGateway
-    from .net import Topology
+    from .core import GatewayConfig, Wire, build_border
     from .tcpstack import TCPConnection, TCPListener
 
-    topo = Topology()
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    gateway = PXGateway(topo.sim, "pxgw",
-                        config=GatewayConfig(imtu=args.imtu, emtu=args.emtu))
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=args.imtu)
-    topo.link(gateway, outside, mtu=args.emtu)
-    topo.build_routes()
-    gateway.mark_internal(gateway.interfaces[0])
+    world = build_border(0, ("inside", "outside"), (), [
+        Wire("inside", "pxgw", "int", mtu=args.imtu),
+        Wire("pxgw", "outside", "ext", mtu=args.emtu),
+    ], config=GatewayConfig(imtu=args.imtu, emtu=args.emtu))
+    topo, gateway = world.topo, world.gateway
+    inside, outside = world.inside, world.outside
 
     server = TCPListener(outside, 80, mss=args.emtu - 40)
     client = TCPConnection(inside, 40000, outside.ip, 80, mss=args.imtu - 40)
@@ -602,7 +597,7 @@ def _cmd_resilience_report(args) -> int:
     import json
 
     from .chaos import run_scenario
-    from .core import GatewayConfig, PXGateway
+    from .core import GatewayConfig, Wire, build_border
     from .net import Topology
     from .pmtud import FPmtudDaemon, Plpmtud, ProbeEchoDaemon
     from .resilience import BackoffPolicy, CaravanNegotiator, ResilientPmtud
@@ -641,24 +636,21 @@ def _cmd_resilience_report(args) -> int:
 
     # 3. One caravan-negotiation round: a capable inside peer and a
     #    silent (un-upgraded) outside peer.
-    neg_topo = Topology()
-    inside = neg_topo.add_host("inside")
-    outside = neg_topo.add_host("outside")
-    gateway = PXGateway(neg_topo.sim, "pxgw", config=GatewayConfig())
-    neg_topo.add_node(gateway)
-    neg_topo.link(inside, gateway, mtu=9000)
-    neg_topo.link(gateway, outside, mtu=1500)
-    neg_topo.build_routes()
+    border = build_border(0, ("inside", "outside"), (), [
+        Wire("inside", "pxgw", "int", mtu=9000),
+        Wire("pxgw", "outside", "ext", mtu=1500),
+    ], config=GatewayConfig())
+    inside, outside = border.inside, border.outside
     inside.enable_caravan_stack(9000)
     negotiator = CaravanNegotiator(
-        gateway,
+        border.gateway,
         query_timeout=0.1,
         backoff=BackoffPolicy(initial=0.05, multiplier=2.0, max_delay=0.5,
                               jitter=0.0, max_attempts=2),
     )
-    negotiator.allow_caravan(inside.ip, neg_topo.sim.now)
-    negotiator.allow_caravan(outside.ip, neg_topo.sim.now)
-    neg_topo.run(until=2.0)
+    negotiator.allow_caravan(inside.ip, border.topo.sim.now)
+    negotiator.allow_caravan(outside.ip, border.topo.sim.now)
+    border.topo.run(until=2.0)
 
     report = {
         "scenario": {

@@ -18,11 +18,15 @@ from .stats import GatewayStats
 from .tcp_merge import TcpMergeEngine
 from .tcp_split import TcpSplitEngine
 from .worker import GatewayWorker, WorkerMode
+from .border import BorderWorld, Wire, build_border
 
 __all__ = [
     "GatewayConfig",
     "Bound",
     "PXGateway",
+    "BorderWorld",
+    "Wire",
+    "build_border",
     "FPMTUD_PORT",
     "ImtuSpeaker",
     "IMTU_EXCHANGE_PORT",

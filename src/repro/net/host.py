@@ -17,6 +17,7 @@ from ..packet import (
     Reassembler,
     build_icmp,
     build_udp,
+    fragment_packet,
 )
 from ..sim.engine import Simulator
 from ..sim.node import Interface, Node
@@ -127,11 +128,21 @@ class Host(Node):
         tos: int = 0,
         dont_fragment: bool = False,
     ) -> bool:
-        """Build and send one UDP datagram."""
+        """Build and send one UDP datagram.
+
+        Without DF, a datagram larger than the egress MTU leaves as IP
+        fragments (as an OS stack sends it) instead of dying on the link.
+        """
         packet = build_udp(
             self.ip, dst, src_port, dst_port, payload=payload, tos=tos,
             dont_fragment=dont_fragment,
         )
+        route = None if dont_fragment else self.routes.lookup(dst)
+        if route is not None:
+            egress = route.interface
+            mtu = min(egress.mtu, egress.link.mtu if egress.link else egress.mtu)
+            if packet.total_len > mtu:
+                return all([self.send(piece) for piece in fragment_packet(packet, mtu)])
         return self.send(packet)
 
     # ------------------------------------------------------------------

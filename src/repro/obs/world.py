@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.border import BorderWorld, Wire, build_border
 from .collectors import (
     Observability,
     observe_failover,
@@ -146,30 +147,24 @@ def default_workload_schedule(seed: int = 0, scale: float = 1.0,
 
 
 @dataclass
-class ObservedWorld:
-    """Everything one observed run built and measured."""
+class ObservedWorld(BorderWorld):
+    """Everything one observed run built and measured.
 
-    seed: int
-    obs: Observability
-    topo: object
-    gateway: object
-    inside: object
-    outside: object
-    upf: object
-    prober: object
-    daemon: object
-    failover: object
-    rss: object
-    queues: List[object]
-    hairpin: object
-    #: In-sim periodic scraper (repro.obs.TelemetryTimeline), stopped.
-    timeline: object = None
-    #: The timeline's AlertEngine with its recorded transitions.
-    alerts: object = None
+    The border links are ``int_out`` (inside→gateway), ``int_in``,
+    ``ext_out`` (gateway→outside) and ``ext_in``; ``timeline`` is the
+    in-sim scraper (stopped) and ``alerts`` its engine with the
+    recorded transitions.
+    """
+
+    seed: int = 0
+    upf: object = None
+    prober: object = None
+    daemon: object = None
+    failover: object = None
+    rss: object = None
+    queues: List[object] = field(default_factory=list)
+    hairpin: object = None
     notes: Dict[str, object] = field(default_factory=dict)
-    #: The four directed links by role: ``int_out`` (inside→gateway),
-    #: ``int_in``, ``ext_out`` (gateway→outside), ``ext_in``.
-    links: Dict[str, object] = field(default_factory=dict)
     #: Registry snapshots captured at the requested ``snapshot_at``
     #: instants, keyed by sim time.
     snapshots: Dict[float, Dict[str, float]] = field(default_factory=dict)
@@ -293,17 +288,14 @@ def run_observed_world(
     any traffic runs — the hook point for fault/attack environments.
     All defaults leave the run byte-identical to the historical one.
     """
-    from ..core import GatewayConfig, PXGateway
-    from ..net import Topology
     from ..nic import HairpinQueue, RssDistributor, RxQueue
     from ..pmtud import FPmtudDaemon, FPmtudProber
     from ..resilience import FailoverManager
     from ..tcpstack import TCPConnection, TCPListener
-    from .alerts import AlertEngine, default_alert_rules
+    from .alerts import default_alert_rules
     from .flight import FlightRecorder
     from .propagation import TracePropagation
     from .spans import SpanTracker
-    from .timeline import TelemetryTimeline
 
     rng = random.Random(f"obs-world:{seed}")
     if schedule is None:
@@ -315,34 +307,17 @@ def run_observed_world(
         tracer=FlowTracer(tracer_capacity),
         spans=SpanTracker(),
     )
-
-    topo = Topology(seed=880_000 + seed)
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    if config is None:
-        config = GatewayConfig(
-            imtu=_IMTU, emtu=_EMTU,
-            elephant_threshold_packets=2, header_only_dma=True,
-        )
-    gateway = PXGateway(topo.sim, "pxgw", config=config)
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.link(gateway, outside, mtu=_EMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.build_routes()
-    _, gw_iface, int_out, int_in = topo.edge(inside, gateway)
-    _, _, ext_out, ext_in = topo.edge(gateway, outside)
-    gateway.mark_internal(gw_iface)
-    gateway.enable_resilience()
-    gateway.attach_observability(obs)
-
-    # The in-sim scraper + SLO alerting, started before any traffic so
-    # the first window sees the ramp-up.
     if alert_rules is None:
         alert_rules = default_alert_rules(gateway="pxgw")
-    alerts = AlertEngine(alert_rules)
-    timeline = TelemetryTimeline(
-        topo.sim, obs.registry, interval=scrape_interval, alerts=alerts
-    ).start()
+    # The in-sim scraper + SLO alerting start before any traffic so the
+    # first window sees the ramp-up.
+    border = build_border(880_000 + seed, ("inside", "outside"), (), [
+        Wire("inside", "pxgw", "int", mtu=_IMTU, delay=5e-5),
+        Wire("pxgw", "outside", "ext", mtu=_EMTU, delay=5e-5),
+    ], config=config).instrument(obs, alert_rules, scrape_interval)
+    topo, gateway = border.topo, border.gateway
+    inside, outside = border.inside, border.outside
+    timeline, alerts = border.timeline, border.alerts
 
     # Failover: periodic checkpoints plus one mid-run takeover, so the
     # standby worker (and the re-armed flush timer) carry the tail of
@@ -361,7 +336,7 @@ def run_observed_world(
     queues = [RxQueue(index, capacity=512) for index in range(4)]
     hairpin = HairpinQueue(capacity=256)
     frontend = _NicFrontend(topo.sim, rss, queues, hairpin)
-    int_out.add_tap(frontend)
+    border.links["int_out"].add_tap(frontend)
     frontend.start()
     observe_nic(obs, queues=queues, hairpin=hairpin, rss=rss)
 
@@ -407,24 +382,15 @@ def run_observed_world(
         )
 
     world = ObservedWorld(
+        **vars(border),
         seed=seed,
-        obs=obs,
-        topo=topo,
-        gateway=gateway,
-        inside=inside,
-        outside=outside,
-        upf=None,
         prober=prober,
         daemon=daemon,
         failover=failover,
         rss=rss,
         queues=queues,
         hairpin=hairpin,
-        timeline=timeline,
-        alerts=alerts,
-        links={"int_out": int_out, "int_in": int_in,
-               "ext_out": ext_out, "ext_in": ext_in},
-        config=config,
+        config=gateway.config,
         schedule=schedule,
         # Always-on black box: pure pull-model references, so the ring
         # is free until someone dumps it.

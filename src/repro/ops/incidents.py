@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
-from ..chaos.faults import Fault, FaultPlan, GatewayFault, Match, apply_gateway_faults
+from ..chaos.faults import Fault, FaultPlan, GatewayFault, Match
 from ..obs.world import ObservedWorld, WorkloadSchedule, default_workload_schedule
 from .canary import PROMOTED, ROLLED_BACK, CanaryController
 from .twin import Deployment, production_deployment
@@ -80,9 +80,7 @@ def _benign_weather(world: ObservedWorld) -> None:
             GatewayFault(kind="stall", at=0.35, duration=2e-3),
         ],
     )
-    for role, injector in plan.injectors().items():
-        world.links[role].injector = injector
-    apply_gateway_faults(plan, world.gateway)
+    plan.install(world.links, world.gateway)
 
 
 def _forged_pmtu_report(world: ObservedWorld) -> None:

@@ -267,19 +267,15 @@ def _run_gateway_world(download: int, upload: int, observed: bool = False) -> in
     are periodic control-plane work whose cost is interval-bound, not
     packet-bound, so they stay out of this per-packet figure.
     """
-    from ..core import GatewayConfig, PXGateway
-    from ..net import Topology
+    from ..core import GatewayConfig, Wire, build_border
     from ..tcpstack import TCPConnection, TCPListener
 
-    topo = Topology(seed=7)
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig(imtu=9000, emtu=1500))
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=9000, delay=5e-5)
-    topo.link(gateway, outside, mtu=1500, delay=5e-5)
-    topo.build_routes()
-    gateway.mark_internal(gateway.interfaces[0])
+    world = build_border(7, ("inside", "outside"), (), [
+        Wire("inside", "pxgw", "int", mtu=9000, delay=5e-5),
+        Wire("pxgw", "outside", "ext", mtu=1500, delay=5e-5),
+    ], config=GatewayConfig(imtu=9000, emtu=1500))
+    topo, gateway = world.topo, world.gateway
+    inside, outside = world.inside, world.outside
     spans = None
     if observed:
         from ..obs import Observability, SpanTracker

@@ -7,6 +7,9 @@ the teeth of this PR: a defense that cannot be shown *off* is not
 demonstrably a defense.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.chaos import ATTACK_SCENARIOS, attack_corpus, build_attack_plan
@@ -19,6 +22,8 @@ ATTACKS = [name for name in ALL_SCENARIOS if name != "benign-control"]
 # The plausibility band the hardened stack enforces: [576, bottleneck].
 PLAUSIBLE_FLOOR = 576
 BOTTLENECK_MTU = 1280
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "attack_digests.json")
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -97,3 +102,24 @@ def test_every_attack_scenario_fires_faults(name):
 def test_scenarios_carry_descriptions():
     for name, scenario in ATTACK_SCENARIOS.items():
         assert scenario.description, f"{name} has no description"
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_digests_and_verdicts_match_golden(name):
+    # Pins every scenario's trace digest and compromise verdict in both
+    # modes, so a refactor of the attack world cannot move a packet.
+    with open(_GOLDEN) as handle:
+        golden = json.load(handle)
+    assert golden["seed"] == DIFF_SEED
+    hardened, unhardened = differential(name)
+    assert {
+        "hardened": {"digest": hardened.digest,
+                     "compromised": hardened.compromised},
+        "unhardened": {"digest": unhardened.digest,
+                       "compromised": unhardened.compromised},
+    } == golden["scenarios"][name]
+
+
+def test_golden_covers_every_scenario():
+    with open(_GOLDEN) as handle:
+        assert sorted(json.load(handle)["scenarios"]) == ALL_SCENARIOS

@@ -1,6 +1,6 @@
 """Known-bad gateway mutations used by the teeth and shrink tests.
 
-Each mutation takes a :class:`repro.chaos.ChaosWorld` and monkey-patches
+Each mutation takes a chaos :class:`repro.core.BorderWorld` and monkey-patches
 one engine instance inside the gateway to reintroduce a realistic bug.
 The chaos oracle must catch every one of them.
 """

@@ -39,7 +39,7 @@ def test_world_building_is_deterministic():
     netem/bottleneck choices derived from the seed agree."""
     a = build_world("pmtud", 31)
     b = build_world("pmtud", 31)
-    assert a.mid_mtu == b.mid_mtu
+    assert a.links["far_in"].mtu == b.links["far_in"].mtu
     assert set(a.links) == set(b.links)
     assert trace_digest(a.taps.values()) == trace_digest(b.taps.values())
 

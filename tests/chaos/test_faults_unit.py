@@ -207,3 +207,16 @@ class TestOracleBuildingBlocks:
         assert oracle.ok
         oracle.check_datagram_flow("g", [b"a"], [b"a", b"zzz"])
         assert any(v.startswith("datagram-boundary") for v in oracle.violations)
+
+
+def test_attack_plan_gateway_faults_are_installed():
+    # A plan's gateway faults must reach an attack world too, not only
+    # its link and attack faults.
+    from repro.chaos import apply_attack_faults, build_attack_world
+
+    world = build_attack_world(7, hardened=True)
+    plan = FaultPlan(gateway_faults=[GatewayFault(kind="stall", at=0.05,
+                                                  duration=0.02)])
+    apply_attack_faults(plan, world)
+    world.topo.run(until=0.2)
+    assert world.gateway.health.summary()["signals"].get("stall", 0) > 0

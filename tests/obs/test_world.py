@@ -5,6 +5,10 @@ seeded end-to-end run must export a rich multi-layer series set, and
 two same-seed runs must be byte-identical.
 """
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from repro.chaos import run_scenario
@@ -22,6 +26,25 @@ _LAYER_PREFIXES = (
     "px_upf_",
     "px_pmtud_",
 )
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "observed_world_seed0.json")
+
+
+def export_hashes(world):
+    """sha256 of each export the ``repro metrics|trace|spans|timeline|
+    alerts|flight`` verbs print for a world."""
+    exports = {
+        "prometheus": world.obs.registry.to_prometheus_text(),
+        "tracer_events": "\n".join(json.dumps(event, sort_keys=True)
+                                   for event in world.obs.tracer.events()),
+        "spans": world.obs.spans.to_json(indent=2),
+        "timeline": world.timeline.to_json(indent=2),
+        "alerts": world.alerts.to_json(indent=2),
+        "flight": json.dumps(world.flight.to_dict(), sort_keys=True,
+                             separators=(",", ":")),
+    }
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in exports.items()}
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +79,14 @@ def test_world_exports_every_layer_with_depth(world):
     assert world.notes["datagrams_in"] == 24
     assert world.notes["datagrams_out"] == 12
     assert world.notes["pmtu"] == 1500
+
+
+def test_seed0_exports_match_golden(world):
+    # Pins the seed-0 exports across commits, not just run against run.
+    with open(_GOLDEN) as handle:
+        golden = json.load(handle)
+    assert golden["seed"] == world.seed == 0
+    assert export_hashes(world) == golden["sha256"]
 
 
 def test_world_traces_the_whole_flow_lifecycle(world):

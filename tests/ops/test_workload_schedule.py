@@ -59,6 +59,15 @@ def test_scale_multiplies_transfer_sizes():
         default_workload_schedule(seed=0, scale=0)
 
 
+def test_scaled_inbound_datagrams_fragment_instead_of_dying_on_the_link():
+    # 2000 B datagrams exceed the outside host's 1500 B link: the host
+    # stack must send them as fragments, so all 24 reach the inside.
+    world = run_observed_world(
+        seed=0, schedule=default_workload_schedule(0, scale=2.0))
+    assert world.notes["datagrams_in"] == 24
+    assert world.links["ext_in"].stats.dropped_mtu == 0
+
+
 def test_jitter_is_seeded_and_deterministic():
     plain = default_workload_schedule(seed=4)
     same_a = default_workload_schedule(seed=4, jitter=0.05)

@@ -173,6 +173,25 @@ class TestHost:
         topo.run()
         assert received == []
 
+    def test_send_udp_fragments_a_datagram_larger_than_the_egress_mtu(self):
+        topo, client, server, router = two_host_line(mtu_left=1500)
+        received = []
+        server.on_udp(9, lambda packet, host: received.append(packet.payload))
+        assert client.send_udp(server.ip, 1, 9, b"x" * 4000)
+        topo.run()
+        assert received == [b"x" * 4000]
+        assert router.forwarded == 3  # three fragments left the client
+        assert sum(link.stats.dropped_mtu for link in topo.links()) == 0
+
+    def test_send_udp_with_df_still_dies_on_the_link(self):
+        topo, client, server, _router = two_host_line(mtu_left=1500)
+        received = []
+        server.on_udp(9, lambda packet, host: received.append(packet))
+        client.send_udp(server.ip, 1, 9, b"x" * 4000, dont_fragment=True)
+        topo.run()
+        assert received == []
+        assert sum(link.stats.dropped_mtu for link in topo.links()) == 1
+
     def test_host_echo_reply(self):
         topo, client, server, _router = two_host_line()
         replies = []
